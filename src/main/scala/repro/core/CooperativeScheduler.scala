@@ -38,8 +38,6 @@ final class ExecutionService(val numThreads: Int, name: String) {
   private val workers = Array.tabulate(numThreads)(i => new Worker(s"$name-coop-$i"))
   workers.foreach(_.thread.start())
 
-  private val dedicated = new ConcurrentLinkedQueue[Thread]()
-
   /** Assign tasklets round-robin over the cooperative threads. */
   def submit(tasklets: Seq[Tasklet]): Unit =
     tasklets.foreach { t =>
@@ -48,33 +46,9 @@ final class ExecutionService(val numThreads: Int, name: String) {
       LockSupport.unpark(w.thread)
     }
 
-  /** Run a blocking/non-cooperative tasklet on its own dedicated thread
-    * (§3.1: source/sink connectors that cannot be made cooperative).
-    */
-  def submitDedicated(t: Tasklet): Unit = {
-    val th = new Thread(() => {
-      val idler = new Idler()
-      var running = true
-      while (running && !Thread.currentThread().isInterrupted) {
-        val st =
-          try t.call()
-          catch { case e: Throwable => t.handleFailure(e); TaskletState.Done }
-        st match {
-          case TaskletState.Done         => running = false
-          case TaskletState.MadeProgress => idler.reset()
-          case TaskletState.NoProgress   => idler.idle()
-        }
-      }
-    }, s"$name-dedicated")
-    th.setDaemon(true)
-    dedicated.add(th)
-    th.start()
-  }
-
   def shutdown(): Unit = {
     workers.foreach(_.running = false)
     workers.foreach(w => LockSupport.unpark(w.thread))
-    dedicated.forEach(_.interrupt())
     workers.foreach(_.thread.join(2000))
   }
 

@@ -31,8 +31,7 @@ final case class EdgeDef(
     toOrdinal: Int,
     routing: RoutingPolicy,
     distributed: Boolean,
-    priority: Int = 0,
-    queueSize: Int = 1024
+    priority: Int = 0
 )
 
 /** The Core API dataflow graph: vertices plus edges, with basic validation

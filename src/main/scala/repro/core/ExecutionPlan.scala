@@ -89,7 +89,7 @@ object ExecutionPlan {
         val targets = if (e.distributed) consumers else consumers.filter(_.node.id == p.node.id)
         require(targets.nonEmpty, s"edge ${e.from}->${e.to}: no reachable consumers")
         val sinks: Array[QueueSink] = targets.map { c =>
-          val q = new SpscQueue(e.queueSize)
+          val q = new SpscQueue(config.queueSize)
           val link =
             if (e.distributed && c.node.id != p.node.id)
               links.getOrElseUpdate((p.node.id, c.node.id), new ReceiveWindow())
@@ -104,7 +104,7 @@ object ExecutionPlan {
     // 3. Snapshot restore data, grouped per (vertex, globalIdx).
     val restoreEntries: Map[(String, Int), Vector[(Any, Any)]] =
       if (restoreSnapshotId > 0) {
-        val map = grid.getMap[Any, Any](s"snap-${config.name}-${restoreSnapshotId % 2}")
+        val map = grid.getMap[Any, Any](ctl.snapshotMapName(restoreSnapshotId))
         map.entries.groupMap { case (k, _) =>
           val (vn, gi, _) = k.asInstanceOf[(String, Int, Any)]
           (vn, gi)
@@ -145,8 +145,7 @@ object ExecutionPlan {
         ctl,
         writer,
         tk => jobRef.job.onTaskletFinished(tk),
-        e => jobRef.job.onTaskletFailed(e),
-        config.batchLimit
+        e => jobRef.job.onTaskletFailed(e)
       )
       if (ctl != null) ctl.register(taskletId)
       allTasklets += t

@@ -6,13 +6,14 @@ import java.util.concurrent.TimeUnit
 import scala.collection.mutable
 import repro.imdg.{GridCluster, Partitioning}
 
-/** Job-level configuration (guarantee + snapshot cadence, §4.4). */
+/** Job-level configuration: guarantee and snapshot cadence (§4.4), and
+  * the capacity of every SPSC queue between two processor instances.
+  */
 final case class JobConfig(
     name: String = "job",
     guarantee: Guarantee = Guarantee.NoGuarantee,
     snapshotIntervalMs: Long = 1000,
-    queueSize: Int = 1024,
-    batchLimit: Int = 256
+    queueSize: Int = 1024
 )
 
 /** A logical Jet member: an IMDG member id plus its cooperative-thread
@@ -122,7 +123,7 @@ final class JetInstance(
     dead.shutdown()
     val newId = grid.addNode()
     jetNodes = jetNodes.filterNot(_.id == nodeId) :+ new JetNode(newId, threadsPerNode)
-    val restoreId = grid.getMap[String, Long](s"snapmeta-${job.config.name}").get("committed").getOrElse(0L)
+    val restoreId = job.snapshotCtl.lastCommittedInGrid
     require(restoreId > 0, "no committed snapshot to restore from")
     submitInternal(job.dag, job.config, restoreId)
   }

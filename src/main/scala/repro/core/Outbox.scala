@@ -29,55 +29,52 @@ object RoutingPolicy {
 
 /** Routes one producer's output over one edge to that edge's consumer sinks.
   *
-  * Items that a full sink refuses are parked in the outbox's shared pending
-  * queue; the outbox refuses further emissions until they are delivered,
-  * which is what propagates backpressure to the processor (§3.3).
+  * Every item goes through [[Outbox.deliver]], which parks it in the outbox's
+  * pending queue when its sink is full or earlier items still wait there.
   */
 final class EdgeCollector(val sinks: Array[QueueSink], val routing: RoutingPolicy) {
   require(sinks.nonEmpty, "edge with no consumers")
   private var rrCursor = 0
 
-  private[core] def route(item: DataItem, pending: java.util.ArrayDeque[(QueueSink, AnyRef)]): Unit =
+  private[core] def route(item: DataItem, outbox: Outbox): Unit =
     routing match {
       case RoutingPolicy.Partitioned(keyFn) =>
-        val sink = sinks(Partitioning.consumerIndex(keyFn(item.value), sinks.length))
-        if (!sink.offer(item)) pending.add((sink, item))
+        outbox.deliver(sinks(Partitioning.consumerIndex(keyFn(item.value), sinks.length)), item)
       case RoutingPolicy.RoundRobin =>
         var tried = 0
-        var done  = false
-        while (!done && tried < sinks.length) {
-          val sink = sinks(rrCursor)
-          rrCursor = (rrCursor + 1) % sinks.length
-          if (sink.offer(item)) done = true
+        while (tried < sinks.length) {
+          if (outbox.tryDeliver(nextSink(), item)) return
           tried += 1
         }
-        if (!done) {
-          // All full: park on the next cursor position to preserve fairness.
-          val sink = sinks(rrCursor)
-          rrCursor = (rrCursor + 1) % sinks.length
-          pending.add((sink, item))
-        }
+        // All full: park on the next cursor position to preserve fairness.
+        outbox.deliver(nextSink(), item)
       case RoutingPolicy.Broadcast =>
-        broadcast(item, pending)
+        broadcast(item, outbox)
     }
 
-  private[core] def broadcast(item: AnyRef, pending: java.util.ArrayDeque[(QueueSink, AnyRef)]): Unit = {
+  private[core] def broadcast(item: AnyRef, outbox: Outbox): Unit = {
     var i = 0
-    while (i < sinks.length) {
-      val sink = sinks(i)
-      if (!sink.offer(item)) pending.add((sink, item))
-      i += 1
-    }
+    while (i < sinks.length) { outbox.deliver(sinks(i), item); i += 1 }
+  }
+
+  private def nextSink(): QueueSink = {
+    val sink = sinks(rrCursor)
+    rrCursor = (rrCursor + 1) % sinks.length
+    sink
   }
 }
 
 /** A processor's output port: fans emissions out over all outbound edges.
   *
-  * The contract mirrors Jet's: `offer` returns false when earlier items are
-  * still undeliverable, and the processor must stop consuming input — the
-  * bounded queues plus this refusal are the entire local backpressure
-  * mechanism (§3.3). Control items (watermarks, barriers, Done) broadcast
-  * to every consumer of every edge.
+  * The outbox is the only place where output that could not be delivered
+  * yet waits. `emit` always accepts: it routes the item, or parks it behind
+  * the items already waiting, so every sink sees items in emission order.
+  * A processor must stop consuming input while `hasPending`; the tasklet
+  * flushes the parked items on its next call. The bounded queues plus this
+  * rule are the entire local backpressure mechanism (§3.3). `offer` keeps
+  * Jet's refusing contract for sources: it delivers the parked items first
+  * and emits only when none remain. Control items (watermarks, barriers,
+  * Done) broadcast to every consumer of every edge.
   */
 final class Outbox(val edges: Array[EdgeCollector]) {
   private val pending = new java.util.ArrayDeque[(QueueSink, AnyRef)]()
@@ -98,29 +95,36 @@ final class Outbox(val edges: Array[EdgeCollector]) {
     true
   }
 
-  /** Emit a data item with event timestamp `ts` on all edges. False means
-    * "try again later, nothing was accepted".
-    */
-  def offer(value: Any, ts: Long): Boolean = {
-    if (!flush()) return false
+  /** Emit a data item with event timestamp `ts` on all edges; never refuses. */
+  def emit(value: Any, ts: Long): Unit = {
     val item = DataItem(value, ts)
     var e = 0
-    while (e < edges.length) { edges(e).route(item, pending); e += 1 }
+    while (e < edges.length) { edges(e).route(item, this); e += 1 }
+    accepted += 1
+  }
+
+  /** Flush, then emit. False means "try again later, nothing was accepted". */
+  def offer(value: Any, ts: Long): Boolean = flush() && { emit(value, ts); true }
+
+  /** Broadcast a control item (watermark / barrier / Done) to all consumers,
+    * once the parked items are delivered.
+    */
+  def offerSpecial(item: StreamItem): Boolean = flush() && {
+    var e = 0
+    while (e < edges.length) { edges(e).broadcast(item, this); e += 1 }
     accepted += 1
     true
   }
 
-  /** Broadcast a control item (watermark / barrier / Done) to all consumers. */
-  def offerSpecial(item: StreamItem): Boolean = {
-    if (!flush()) return false
-    var e = 0
-    while (e < edges.length) { edges(e).broadcast(item, pending); e += 1 }
-    accepted += 1
-    true
-  }
+  /** Offer `item` to `sink` unless earlier items wait; true if it went in. */
+  private[core] def tryDeliver(sink: QueueSink, item: AnyRef): Boolean =
+    pending.isEmpty && sink.offer(item)
+
+  /** Offer `item` to `sink`, parking it if it cannot go in now. */
+  private[core] def deliver(sink: QueueSink, item: AnyRef): Unit =
+    if (!tryDeliver(sink, item)) pending.add((sink, item))
 
   def hasPending: Boolean = !pending.isEmpty
-  def edgeCount: Int      = edges.length
 }
 
 /** Ordered buffer of data items a tasklet has drained for its processor. */

@@ -12,32 +12,38 @@ final case class ProcessorContext(
 /** The unit of computation at a DAG vertex (§3.2 "Jet Processors").
   *
   * A processor is driven entirely by its tasklet and must never block: every
-  * method does a bounded amount of work and returns. Backpressure is
-  * expressed by the outbox refusing an emission — the processor then leaves
-  * the remaining input in the inbox (or keeps its own emission cursor) and
-  * the tasklet retries on a later call.
+  * method does a bounded amount of work and returns. It emits with
+  * `outbox.emit`, which always accepts, and holds no output of its own:
+  * output that cannot be delivered yet waits in the outbox, where the
+  * tasklet sees it and delivers it before any later watermark or snapshot
+  * barrier. Backpressure is the outbox having pending items — the processor
+  * then leaves the remaining input in the inbox and the tasklet retries on a
+  * later call.
   */
 trait Processor {
 
   def init(ctx: ProcessorContext): Unit = ()
 
   /** Consume items from `inbox` (input edge `ordinal`), emitting to
-    * `outbox`. Stop early — leaving items in the inbox — as soon as the
-    * outbox refuses an emission.
+    * `outbox`. Stop consuming — leaving items in the inbox — while
+    * `outbox.hasPending`.
     */
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit
 
   /** The coalesced event-time of all inputs advanced to `wm`. Emit any
-    * closed windows; return true only when all results for this watermark
-    * have been accepted by the outbox (the tasklet re-invokes otherwise,
-    * and forwards the watermark downstream once true).
+    * closed windows; return `outbox.flush()`. The tasklet calls again with
+    * the same watermark (and no input in between) until this returns true,
+    * then forwards the watermark downstream, so a repeated call must emit
+    * nothing new: remove the state you emit.
     */
-  def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = true
+  def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = outbox.flush()
 
   /** Called once all inputs are exhausted (finite streams), repeatedly
-    * until it returns true. Source processors live entirely in `complete`.
+    * until it returns true; as with `tryProcessWatermark`, a repeated call
+    * must not emit again. Source processors live entirely in `complete`:
+    * they emit with `outbox.offer`, which refuses while items are pending.
     */
-  def complete(outbox: Outbox): Boolean = true
+  def complete(outbox: Outbox): Boolean = outbox.flush()
 
   /** A snapshot barrier reached this processor (before `saveSnapshot`).
     * Transactional sinks use this to seal the current transaction (§4.5).

@@ -179,34 +179,15 @@ final class BatchSourceP(data: IndexedSeq[Any], batchLimit: Int = 512) extends P
 }
 
 /** A fused chain of stateless operators (§3.1 "operator fusion"): the whole
-  * chain is one function `Any => Iterator[Any]` applied in a single tasklet,
-  * with a one-item pushback slot so emission can pause on backpressure.
+  * chain is one function `Any => Iterator[Any]` applied in a single tasklet.
   */
 final class FusedStatelessP(f: Any => Iterator[Any]) extends Processor {
-  private var iter: Iterator[Any] = Iterator.empty
-  private var pendingItem: Any    = _
-  private var ts                  = 0L
-
-  def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
-    while (true) {
-      if (!drainPending(outbox)) return
-      val d = inbox.poll()
-      if (d == null) return
-      ts = d.timestamp
-      iter = f(d.value)
+  def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit =
+    while (!outbox.hasPending && inbox.nonEmpty) {
+      val d  = inbox.poll()
+      val it = f(d.value)
+      while (it.hasNext) outbox.emit(it.next(), d.timestamp)
     }
-  }
-
-  override def complete(outbox: Outbox): Boolean = drainPending(outbox)
-
-  private def drainPending(outbox: Outbox): Boolean = {
-    while (pendingItem != null || iter.hasNext) {
-      if (pendingItem == null) pendingItem = iter.next()
-      if (!outbox.offer(pendingItem, ts)) return false
-      pendingItem = null
-    }
-    true
-  }
 }
 
 /** Terminal sink applying `f(value, eventTs)` to every record — used for
@@ -298,10 +279,7 @@ final class HashJoinP(
     probeKeyFn: Any => Any,
     joinFn: (Any, Vector[Any]) => Iterator[Any]
 ) extends Processor {
-  private val table               = mutable.HashMap.empty[Any, mutable.ArrayBuffer[Any]]
-  private var iter: Iterator[Any] = Iterator.empty
-  private var pendingItem: Any    = _
-  private var ts                  = 0L
+  private val table = mutable.HashMap.empty[Any, mutable.ArrayBuffer[Any]]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit =
     if (ordinal == 0) {
@@ -311,26 +289,13 @@ final class HashJoinP(
         d = inbox.poll()
       }
     } else {
-      while (true) {
-        if (!drainPending(outbox)) return
-        val d = inbox.poll()
-        if (d == null) return
-        ts = d.timestamp
+      while (!outbox.hasPending && inbox.nonEmpty) {
+        val d       = inbox.poll()
         val matches = table.get(probeKeyFn(d.value)).map(_.toVector).getOrElse(Vector.empty)
-        iter = joinFn(d.value, matches)
+        val it      = joinFn(d.value, matches)
+        while (it.hasNext) outbox.emit(it.next(), d.timestamp)
       }
     }
-
-  override def complete(outbox: Outbox): Boolean = drainPending(outbox)
-
-  private def drainPending(outbox: Outbox): Boolean = {
-    while (pendingItem != null || iter.hasNext) {
-      if (pendingItem == null) pendingItem = iter.next()
-      if (!outbox.offer(pendingItem, ts)) return false
-      pendingItem = null
-    }
-    true
-  }
 }
 
 /** Batch grouped aggregation, stage 1: local partial accumulators per key,
@@ -338,8 +303,7 @@ final class HashJoinP(
   */
 final class AccumulateBatchP[A](keyFn: Any => Any, aggrOp: AggregateOperation[A, _])
     extends Processor {
-  private val accs                 = mutable.HashMap.empty[Any, A]
-  private var emitQueue: java.util.ArrayDeque[(Any, A)] = _
+  private val accs = mutable.HashMap.empty[Any, A]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -350,16 +314,9 @@ final class AccumulateBatchP[A](keyFn: Any => Any, aggrOp: AggregateOperation[A,
   }
 
   override def complete(outbox: Outbox): Boolean = {
-    if (emitQueue == null) {
-      emitQueue = new java.util.ArrayDeque()
-      accs.foreach { case (k, a) => emitQueue.add((k, a)) }
-      accs.clear()
-    }
-    while (!emitQueue.isEmpty) {
-      if (!outbox.offer(emitQueue.peekFirst(), 0L)) return false
-      emitQueue.removeFirst()
-    }
-    true
+    accs.foreach { case (k, a) => outbox.emit((k, a), 0L) }
+    accs.clear()
+    outbox.flush()
   }
 }
 
@@ -370,8 +327,7 @@ final class CombineBatchP[A, R](
     aggrOp: AggregateOperation[A, R],
     mapResult: (Any, R) => Any = (k: Any, r: R) => (k, r)
 ) extends Processor {
-  private val accs                 = mutable.HashMap.empty[Any, A]
-  private var emitQueue: java.util.ArrayDeque[Any] = _
+  private val accs = mutable.HashMap.empty[Any, A]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -386,15 +342,8 @@ final class CombineBatchP[A, R](
   }
 
   override def complete(outbox: Outbox): Boolean = {
-    if (emitQueue == null) {
-      emitQueue = new java.util.ArrayDeque()
-      accs.foreach { case (k, a) => emitQueue.add(mapResult(k, aggrOp.finish(a))) }
-      accs.clear()
-    }
-    while (!emitQueue.isEmpty) {
-      if (!outbox.offer(emitQueue.peekFirst(), 0L)) return false
-      emitQueue.removeFirst()
-    }
-    true
+    accs.foreach { case (k, a) => outbox.emit(mapResult(k, aggrOp.finish(a)), 0L) }
+    accs.clear()
+    outbox.flush()
   }
 }

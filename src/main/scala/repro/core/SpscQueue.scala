@@ -6,7 +6,7 @@ import java.util.concurrent.atomic.{AtomicLong, AtomicReferenceArray}
   *
   * This is the only channel between two tasklets on the same member (§3.2):
   * exactly one producer tasklet calls `offer` and exactly one consumer
-  * tasklet calls `poll`/`drainTo`. Both sides complete in a bounded number
+  * tasklet calls `poll`. Both sides complete in a bounded number
   * of steps with no locks and no CAS loops (a Lamport queue with cached
   * counter views, as used by Jet's one-to-one concurrent conveyors).
   */
@@ -48,28 +48,6 @@ final class SpscQueue(val capacity: Int) {
     buffer.lazySet(idx, null)
     head.lazySet(h + 1)
     item
-  }
-
-  /** Consumer side: next item without removing it, or null. */
-  def peek(): AnyRef = {
-    val h = head.get()
-    if (h >= consumerCachedTail) {
-      consumerCachedTail = tail.get()
-      if (h >= consumerCachedTail) return null
-    }
-    buffer.get((h % capacity).toInt)
-  }
-
-  /** Consumer side: drain up to `limit` items into `f`; returns the count. */
-  def drainTo(f: AnyRef => Unit, limit: Int): Int = {
-    var n = 0
-    while (n < limit) {
-      val item = poll()
-      if (item == null) return n
-      f(item)
-      n += 1
-    }
-    n
   }
 
   /** Approximate number of queued items (exact when called by either endpoint). */

@@ -59,9 +59,11 @@ final class ProcessorTasklet(
     snapshotCtl: SnapshotController, // null when fault tolerance is off
     snapshotWriter: (Long, Iterator[(Any, Any)]) => Unit,
     onFinished: ProcessorTasklet => Unit,
-    onFailure: Throwable => Unit,
-    batchLimit: Int = 256
+    onFailure: Throwable => Unit
 ) extends Tasklet {
+
+  /** Most items drained from one input channel per call. */
+  private val BatchLimit = 256
 
   private val inbox                        = new Inbox
   private var inboxOrdinal                 = 0
@@ -230,7 +232,7 @@ final class ProcessorTasklet(
       if (!ch.done && ch.priority == activePriority && !blocked) {
         var n    = 0
         var stop = false
-        while (!stop && n < batchLimit) {
+        while (!stop && n < BatchLimit) {
           val item = ch.queue.poll()
           if (item == null) stop = true
           else {

@@ -21,6 +21,39 @@ object Windowing {
   }
 }
 
+/** Which sliding windows a keyed window processor has still to close: the
+  * next window end, and the last frame seen so far, which bounds closing
+  * when the final watermark is +inf. Snapshotted as one "meta" entry.
+  */
+private[core] final class WindowCloser(wd: WindowDef) {
+  private var nextW       = Long.MinValue
+  private var maxFrameEnd = Long.MinValue
+
+  def sawFrame(fe: Long): Unit = {
+    if (nextW == Long.MinValue || fe < nextW) nextW = fe
+    if (fe > maxFrameEnd) maxFrameEnd = fe
+  }
+
+  /** Calls `emitWindow` once per window end up to `upTo`, in order. */
+  def closeUpTo(upTo: Long)(emitWindow: Long => Unit): Unit =
+    if (nextW != Long.MinValue) {
+      // The last window any known frame can contribute to.
+      val target = math.min(upTo, maxFrameEnd + wd.sizeMs - wd.slideMs)
+      while (nextW <= target) {
+        emitWindow(nextW)
+        nextW += wd.slideMs
+      }
+    }
+
+  def snapshotEntry: (Any, Any) = ("meta", (nextW, maxFrameEnd))
+
+  def restore(meta: Any): Unit = {
+    val (nw, mfe) = meta.asInstanceOf[(Long, Long)]
+    if (nextW == Long.MinValue || nw < nextW) nextW = nw
+    if (mfe > maxFrameEnd) maxFrameEnd = mfe
+  }
+}
+
 /** Stage 1 of the two-stage windowed aggregation (§3.1): accumulates items
   * into per-(key, frame) partial accumulators *locally* and releases each
   * frame's partials downstream once the watermark passes the frame end.
@@ -31,9 +64,7 @@ final class AccumulateByFrameP[A](
     aggrOp: AggregateOperation[A, _],
     slideMs: Long
 ) extends Processor {
-  private val frames       = mutable.HashMap.empty[(Any, Long), A]
-  private val pendingEmits = new java.util.ArrayDeque[DataItem]()
-  private var preparedWm   = Long.MinValue
+  private val frames = mutable.HashMap.empty[(Any, Long), A]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -45,35 +76,18 @@ final class AccumulateByFrameP[A](
     }
   }
 
-  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = {
-    if (wm.ts != preparedWm) {
-      prepare(wm.ts)
-      preparedWm = wm.ts
-    }
-    drain(outbox)
-  }
+  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = emitUpTo(wm.ts, outbox)
 
-  override def complete(outbox: Outbox): Boolean = {
-    if (frames.nonEmpty) prepare(Long.MaxValue)
-    drain(outbox)
-  }
+  override def complete(outbox: Outbox): Boolean = emitUpTo(Long.MaxValue, outbox)
 
-  private def prepare(upTo: Long): Unit = {
+  private def emitUpTo(upTo: Long, outbox: Outbox): Boolean = {
     val ready = frames.iterator.filter { case ((_, fe), _) => fe <= upTo }.toVector
     // Deterministic order keeps runs reproducible for tests.
     ready.sortBy { case ((k, fe), _) => (fe, k.toString) }.foreach { case ((k, fe), acc) =>
       frames.remove((k, fe))
-      pendingEmits.add(DataItem(FrameAggregate(k, fe, acc), fe))
+      outbox.emit(FrameAggregate(k, fe, acc), fe)
     }
-  }
-
-  private def drain(outbox: Outbox): Boolean = {
-    while (!pendingEmits.isEmpty) {
-      val d = pendingEmits.peekFirst()
-      if (outbox.offer(d.value, d.timestamp)) pendingEmits.removeFirst()
-      else return false
-    }
-    true
+    outbox.flush()
   }
 
   override def saveSnapshot(): Iterator[(Any, Any)] =
@@ -110,12 +124,9 @@ final class CombineFramesP[A, R](
     val frames: java.util.TreeMap[Long, A] = new java.util.TreeMap[Long, A]()
   }
 
-  private val states       = mutable.HashMap.empty[Any, KeyState]
-  private val pendingEmits = new java.util.ArrayDeque[DataItem]()
-  private var preparedWm   = Long.MinValue
-  private var nextW        = Long.MinValue
-  private var maxFrameEnd  = Long.MinValue
-  private val deductFn     = aggrOp.deduct
+  private val states   = mutable.HashMap.empty[Any, KeyState]
+  private val closer   = new WindowCloser(wd)
+  private val deductFn = aggrOp.deduct
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -125,37 +136,21 @@ final class CombineFramesP[A, R](
       val existing = ks.frames.get(fa.frameEnd)
       if (existing == null) ks.frames.put(fa.frameEnd, fa.acc)
       else aggrOp.combine(existing, fa.acc)
-      if (nextW == Long.MinValue || fa.frameEnd < nextW) nextW = fa.frameEnd
-      if (fa.frameEnd > maxFrameEnd) maxFrameEnd = fa.frameEnd
+      closer.sawFrame(fa.frameEnd)
       d = inbox.poll()
     }
   }
 
-  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = {
-    if (wm.ts != preparedWm) {
-      emitClosedWindows(wm.ts)
-      preparedWm = wm.ts
-    }
-    drain(outbox)
+  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = emitUpTo(wm.ts, outbox)
+
+  override def complete(outbox: Outbox): Boolean = emitUpTo(Long.MaxValue, outbox)
+
+  private def emitUpTo(upTo: Long, outbox: Outbox): Boolean = {
+    closer.closeUpTo(upTo)(emitWindow(_, outbox))
+    outbox.flush()
   }
 
-  override def complete(outbox: Outbox): Boolean = {
-    emitClosedWindows(Long.MaxValue)
-    drain(outbox)
-  }
-
-  private def emitClosedWindows(upTo: Long): Unit = {
-    if (nextW == Long.MinValue) return
-    // The last window any known frame can contribute to — bounds the loop
-    // when the final watermark is +inf.
-    val target = math.min(upTo, maxFrameEnd + wd.sizeMs - wd.slideMs)
-    while (nextW <= target) {
-      emitWindow(nextW)
-      nextW += wd.slideMs
-    }
-  }
-
-  private def emitWindow(we: Long): Unit = {
+  private def emitWindow(we: Long, outbox: Outbox): Unit = {
     val emptied = Vector.newBuilder[Any]
     // Deterministic key order for reproducible runs.
     for (key <- states.keys.toVector.sortBy(_.toString)) {
@@ -168,7 +163,7 @@ final class CombineFramesP[A, R](
         }
         val hasData = !ks.frames.subMap(we - wd.sizeMs, false, we, true).isEmpty
         if (hasData)
-          pendingEmits.add(DataItem(mapResult(key, we, aggrOp.finish(aggrOp.copyAcc(ks.running))), we))
+          outbox.emit(mapResult(key, we, aggrOp.finish(aggrOp.copyAcc(ks.running))), we)
         val expiring = ks.frames.remove(we - wd.sizeMs + wd.slideMs)
         if (expiring != null) deductFn.get(ks.running, expiring)
         if (ks.frames.isEmpty) emptied += key
@@ -177,22 +172,13 @@ final class CombineFramesP[A, R](
         if (!sub.isEmpty) {
           val acc = aggrOp.create()
           sub.values.forEach(f => aggrOp.combine(acc, f))
-          pendingEmits.add(DataItem(mapResult(key, we, aggrOp.finish(acc)), we))
+          outbox.emit(mapResult(key, we, aggrOp.finish(acc)), we)
         }
         ks.frames.headMap(we - wd.sizeMs + wd.slideMs, true).clear()
         if (ks.frames.isEmpty) emptied += key
       }
     }
     emptied.result().foreach(states.remove)
-  }
-
-  private def drain(outbox: Outbox): Boolean = {
-    while (!pendingEmits.isEmpty) {
-      val d = pendingEmits.peekFirst()
-      if (outbox.offer(d.value, d.timestamp)) pendingEmits.removeFirst()
-      else return false
-    }
-    true
   }
 
   override def saveSnapshot(): Iterator[(Any, Any)] = {
@@ -202,15 +188,12 @@ final class CombineFramesP[A, R](
         .map(e => (e.getKey: Long, aggrOp.copyAcc(e.getValue))).toVector
       (("ks", k): Any, (Option(ks.running).map(aggrOp.copyAcc), framesCopy): Any)
     }
-    keyEntries ++ Iterator((("meta"): Any, (nextW, maxFrameEnd): Any))
+    keyEntries ++ Iterator(closer.snapshotEntry)
   }
 
   override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
     entries.foreach {
-      case (("meta"), v) =>
-        val (nw, mfe) = v.asInstanceOf[(Long, Long)]
-        if (nextW == Long.MinValue || nw < nextW) nextW = nw
-        if (mfe > maxFrameEnd) maxFrameEnd = mfe
+      case ("meta", v) => closer.restore(v)
       case (("ks", k), v) =>
         val (running, framesVec) = v.asInstanceOf[(Option[A], Vector[(Long, A)])]
         val ks = states.getOrElseUpdate(k, new KeyState)
@@ -232,9 +215,7 @@ final class CombineFramesP[A, R](
 final class WindowEndAggregateP(
     resultFn: (Long, Vector[Any]) => Iterator[Any]
 ) extends Processor {
-  private val byWindow     = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Any]]
-  private val pendingEmits = new java.util.ArrayDeque[DataItem]()
-  private var preparedWm   = Long.MinValue
+  private val byWindow = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Any]]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -245,31 +226,17 @@ final class WindowEndAggregateP(
     }
   }
 
-  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = {
-    if (wm.ts != preparedWm) { prepare(wm.ts); preparedWm = wm.ts }
-    drain(outbox)
-  }
+  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = emitUpTo(wm.ts, outbox)
 
-  override def complete(outbox: Outbox): Boolean = {
-    prepare(Long.MaxValue)
-    drain(outbox)
-  }
+  override def complete(outbox: Outbox): Boolean = emitUpTo(Long.MaxValue, outbox)
 
-  private def prepare(upTo: Long): Unit = {
+  private def emitUpTo(upTo: Long, outbox: Outbox): Boolean = {
     val ready = byWindow.keys.filter(_ <= upTo).toVector.sorted
     ready.foreach { we =>
       val items = byWindow.remove(we).get
-      resultFn(we, items.toVector).foreach(r => pendingEmits.add(DataItem(r, we)))
+      resultFn(we, items.toVector).foreach(outbox.emit(_, we))
     }
-  }
-
-  private def drain(outbox: Outbox): Boolean = {
-    while (!pendingEmits.isEmpty) {
-      val d = pendingEmits.peekFirst()
-      if (outbox.offer(d.value, d.timestamp)) pendingEmits.removeFirst()
-      else return false
-    }
-    true
+    outbox.flush()
   }
 
   override def saveSnapshot(): Iterator[(Any, Any)] =
@@ -299,11 +266,8 @@ final class TwoInputWindowJoinP(
     val frames = new java.util.TreeMap[Long, (mutable.ArrayBuffer[Any], mutable.ArrayBuffer[Any])]()
   }
 
-  private val states       = mutable.HashMap.empty[Any, KeyState]
-  private val pendingEmits = new java.util.ArrayDeque[DataItem]()
-  private var preparedWm   = Long.MinValue
-  private var nextW        = Long.MinValue
-  private var maxFrameEnd  = Long.MinValue
+  private val states = mutable.HashMap.empty[Any, KeyState]
+  private val closer = new WindowCloser(wd)
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
     var d = inbox.poll()
@@ -317,32 +281,21 @@ final class TwoInputWindowJoinP(
         ks.frames.put(fe, pair)
       }
       (if (ordinal == 0) pair._1 else pair._2) += d.value
-      if (nextW == Long.MinValue || fe < nextW) nextW = fe
-      if (fe > maxFrameEnd) maxFrameEnd = fe
+      closer.sawFrame(fe)
       d = inbox.poll()
     }
   }
 
-  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = {
-    if (wm.ts != preparedWm) { emitClosedWindows(wm.ts); preparedWm = wm.ts }
-    drain(outbox)
+  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = emitUpTo(wm.ts, outbox)
+
+  override def complete(outbox: Outbox): Boolean = emitUpTo(Long.MaxValue, outbox)
+
+  private def emitUpTo(upTo: Long, outbox: Outbox): Boolean = {
+    closer.closeUpTo(upTo)(emitWindow(_, outbox))
+    outbox.flush()
   }
 
-  override def complete(outbox: Outbox): Boolean = {
-    emitClosedWindows(Long.MaxValue)
-    drain(outbox)
-  }
-
-  private def emitClosedWindows(upTo: Long): Unit = {
-    if (nextW == Long.MinValue) return
-    val target = math.min(upTo, maxFrameEnd + wd.sizeMs - wd.slideMs)
-    while (nextW <= target) {
-      emitWindow(nextW)
-      nextW += wd.slideMs
-    }
-  }
-
-  private def emitWindow(we: Long): Unit = {
+  private def emitWindow(we: Long, outbox: Outbox): Unit = {
     val emptied = Vector.newBuilder[Any]
     for (key <- states.keys.toVector.sortBy(_.toString)) {
       val ks  = states(key)
@@ -353,21 +306,12 @@ final class TwoInputWindowJoinP(
         sub.values.forEach { case (l, r) => lefts ++= l; rights ++= r }
         val (ls, rs) = (lefts.result(), rights.result())
         if (ls.nonEmpty && rs.nonEmpty)
-          resultFn(key, ls, rs, we).foreach(r => pendingEmits.add(DataItem(r, we)))
+          resultFn(key, ls, rs, we).foreach(outbox.emit(_, we))
       }
       ks.frames.headMap(we - wd.sizeMs + wd.slideMs, true).clear()
       if (ks.frames.isEmpty) emptied += key
     }
     emptied.result().foreach(states.remove)
-  }
-
-  private def drain(outbox: Outbox): Boolean = {
-    while (!pendingEmits.isEmpty) {
-      val d = pendingEmits.peekFirst()
-      if (outbox.offer(d.value, d.timestamp)) pendingEmits.removeFirst()
-      else return false
-    }
-    true
   }
 
   override def saveSnapshot(): Iterator[(Any, Any)] = {
@@ -377,15 +321,12 @@ final class TwoInputWindowJoinP(
         .map(e => (e.getKey: Long, (e.getValue._1.toVector, e.getValue._2.toVector))).toVector
       (("ks", k): Any, frames: Any)
     }
-    keyEntries ++ Iterator((("meta"): Any, (nextW, maxFrameEnd): Any))
+    keyEntries ++ Iterator(closer.snapshotEntry)
   }
 
   override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
     entries.foreach {
-      case (("meta"), v) =>
-        val (nw, mfe) = v.asInstanceOf[(Long, Long)]
-        if (nextW == Long.MinValue || nw < nextW) nextW = nw
-        if (mfe > maxFrameEnd) maxFrameEnd = mfe
+      case ("meta", v) => closer.restore(v)
       case (("ks", k), v) =>
         val ks = states.getOrElseUpdate(k, new KeyState)
         v.asInstanceOf[Vector[(Long, (Vector[Any], Vector[Any]))]].foreach {

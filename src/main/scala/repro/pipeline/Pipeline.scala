@@ -91,7 +91,7 @@ final class Pipeline {
   private[pipeline] def addSink(s: SinkStage): Unit = { sinkStages += s; () }
 
   /** Compile to the Core DAG. */
-  def toDag(queueSize: Int = 1024): Dag = new PipelinePlanner(this, queueSize).compile()
+  def toDag(): Dag = new PipelinePlanner(this).compile()
 }
 
 /** A finite (batch) stage (§2.1). */
@@ -199,7 +199,7 @@ final class WindowedStage[T, K] private[pipeline] (
 }
 
 /** Compiles the stage graph to a Core DAG with operator fusion. */
-private[pipeline] final class PipelinePlanner(pipeline: Pipeline, queueSize: Int) {
+private[pipeline] final class PipelinePlanner(pipeline: Pipeline) {
   private val dag  = new Dag
   private val memo = mutable.Map.empty[Int, String] // stage id -> vertex name
 
@@ -218,8 +218,7 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline, queueSize: Int
       case TransactionalSinkDef(store, lp) =>
         dag.newVertex(name, () => new TransactionalSinkP(store), lp)
     }
-    dag.edge(EdgeDef(upstream, 0, name, 0, RoutingPolicy.RoundRobin, distributed = false,
-      queueSize = queueSize))
+    dag.edge(EdgeDef(upstream, 0, name, 0, RoutingPolicy.RoundRobin, distributed = false))
     ()
   }
 
@@ -246,30 +245,27 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline, queueSize: Int
       val fused: Any => Iterator[Any] =
         chain.reduceLeft((f, g) => (v: Any) => f(v).flatMap(g))
       val v = dag.newVertex(s"v$id-fused", () => new FusedStatelessP(fused))
-      dag.edge(EdgeDef(upstream, 0, v.name, 0, RoutingPolicy.RoundRobin, distributed = false,
-        queueSize = queueSize))
+      dag.edge(EdgeDef(upstream, 0, v.name, 0, RoutingPolicy.RoundRobin, distributed = false))
       v.name
 
     case WindowAggStage(id, upstream, keyFn, op, wd) =>
       val up   = compileStage(upstream)
       val accV = dag.newVertex(s"v$id-accumulate", () => new AccumulateByFrameP(keyFn, op, wd.slideMs))
       val combV = dag.newVertex(s"v$id-combine", () => new CombineFramesP(op, wd))
-      dag.edge(EdgeDef(up, 0, accV.name, 0, RoutingPolicy.Partitioned(keyFn), distributed = false,
-        queueSize = queueSize))
+      dag.edge(EdgeDef(up, 0, accV.name, 0, RoutingPolicy.Partitioned(keyFn), distributed = false))
       dag.edge(EdgeDef(accV.name, 0, combV.name, 0,
         RoutingPolicy.Partitioned(v => v.asInstanceOf[FrameAggregate[Any, Any]].key),
-        distributed = true, queueSize = queueSize))
+        distributed = true))
       combV.name
 
     case BatchAggStage(id, upstream, keyFn, op) =>
       val up   = compileStage(upstream)
       val accV = dag.newVertex(s"v$id-baccumulate", () => new AccumulateBatchP(keyFn, op))
       val combV = dag.newVertex(s"v$id-bcombine", () => new CombineBatchP(op))
-      dag.edge(EdgeDef(up, 0, accV.name, 0, RoutingPolicy.RoundRobin, distributed = false,
-        queueSize = queueSize))
+      dag.edge(EdgeDef(up, 0, accV.name, 0, RoutingPolicy.RoundRobin, distributed = false))
       dag.edge(EdgeDef(accV.name, 0, combV.name, 0,
         RoutingPolicy.Partitioned(v => v.asInstanceOf[(Any, Any)]._1),
-        distributed = true, queueSize = queueSize))
+        distributed = true))
       combV.name
 
     case WindowEndStage(id, upstream, resultFn) =>
@@ -277,7 +273,7 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline, queueSize: Int
       val v  = dag.newVertex(s"v$id-winend", () => new WindowEndAggregateP(resultFn))
       dag.edge(EdgeDef(up, 0, v.name, 0,
         RoutingPolicy.Partitioned(x => x.asInstanceOf[KeyedWindowResult[_, _]].windowEnd),
-        distributed = true, queueSize = queueSize))
+        distributed = true))
       v.name
 
     case HashJoinStage(id, probe, build, probeKey, buildKey, joinFn) =>
@@ -285,19 +281,17 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline, queueSize: Int
       val probeV = compileStage(probe)
       val v = dag.newVertex(s"v$id-hashjoin", () => new HashJoinP(buildKey, probeKey, joinFn))
       dag.edge(EdgeDef(buildV, 0, v.name, 0, RoutingPolicy.Broadcast, distributed = true,
-        priority = 0, queueSize = queueSize))
+        priority = 0))
       dag.edge(EdgeDef(probeV, 0, v.name, 1, RoutingPolicy.RoundRobin, distributed = false,
-        priority = 1, queueSize = queueSize))
+        priority = 1))
       v.name
 
     case WindowJoinStage(id, left, right, keyL, keyR, wd, resultFn) =>
       val leftV  = compileStage(left)
       val rightV = compileStage(right)
       val v = dag.newVertex(s"v$id-winjoin", () => new TwoInputWindowJoinP(keyL, keyR, wd, resultFn))
-      dag.edge(EdgeDef(leftV, 0, v.name, 0, RoutingPolicy.Partitioned(keyL), distributed = true,
-        queueSize = queueSize))
-      dag.edge(EdgeDef(rightV, 0, v.name, 1, RoutingPolicy.Partitioned(keyR), distributed = true,
-        queueSize = queueSize))
+      dag.edge(EdgeDef(leftV, 0, v.name, 0, RoutingPolicy.Partitioned(keyL), distributed = true))
+      dag.edge(EdgeDef(rightV, 0, v.name, 1, RoutingPolicy.Partitioned(keyR), distributed = true))
       v.name
 
     case s: SinkStage =>

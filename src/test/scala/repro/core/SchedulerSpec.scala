@@ -83,14 +83,6 @@ class SchedulerSpec extends AnyFunSuite {
     svc.shutdown()
   }
 
-  test("dedicated (non-cooperative) tasklets run to completion") {
-    val svc   = new ExecutionService(1, "t6")
-    val latch = new CountDownLatch(1)
-    svc.submitDedicated(new CountingTasklet(1000, latch))
-    assert(latch.await(5, TimeUnit.SECONDS))
-    svc.shutdown()
-  }
-
   test("tasklets submitted later join the running loop (multi-tenancy)") {
     val svc    = new ExecutionService(2, "t7")
     val first  = new CountDownLatch(1)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.imdg.GridCluster
 import repro.pipeline._
 
 /** Fault-tolerance tests (§4.4–4.6): periodic Chandy–Lamport snapshots into
@@ -193,6 +194,33 @@ class SnapshotSpec extends AnyFunSuite {
       case DataItem(v: Long, _) => v
     }.toVector
     assert((emitted ++ emitted2) == (0L until 100L by 2).toVector)
+  }
+
+  test("exactly-once: a barrier follows every item produced before it") {
+    val fourCopies = (v: Any) => Iterator(v, v, v, v)
+    val processors = Seq(
+      (0, new FusedStatelessP(fourCopies)),
+      (1, new HashJoinP(identity, identity, (v, _) => fourCopies(v)))
+    )
+    for ((ordinal, p) <- processors) {
+      val in  = new SpscQueue(4)
+      val out = new SpscQueue(2)
+      in.offer(DataItem("a", 0)); in.offer(SnapshotBarrier(1))
+      val tasklet = new ProcessorTasklet(
+        "t", ProcessorContext(1, "v", 0, 1, 0), p,
+        Array(new InputChannel(in, ordinal, 0, null)),
+        new Outbox(Array(new EdgeCollector(Array(new LocalQueueSink(out)), RoutingPolicy.RoundRobin))),
+        Guarantee.ExactlyOnce,
+        new SnapshotController("barrier-order", new GridCluster(1), 1000),
+        (_, _) => (), _ => (), e => throw e
+      )
+      val seen = Vector.newBuilder[AnyRef]
+      for (_ <- 1 to 20) {
+        tasklet.call()
+        Iterator.continually(out.poll()).takeWhile(_ != null).foreach(seen += _)
+      }
+      assert(seen.result() == Vector.fill(4)(DataItem("a", 0)) :+ SnapshotBarrier(1), p.getClass.getSimpleName)
+    }
   }
 
   test("snapshot state lands in the IMDG and survives node failure") {

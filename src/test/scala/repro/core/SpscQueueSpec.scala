@@ -14,7 +14,6 @@ class SpscQueueSpec extends AnyFunSuite {
   test("poll on empty queue returns null") {
     val q = new SpscQueue(4)
     assert(q.poll() == null)
-    assert(q.peek() == null)
   }
 
   test("capacity is enforced and offer reports backpressure") {
@@ -31,23 +30,6 @@ class SpscQueueSpec extends AnyFunSuite {
     val q = new SpscQueue(128)
     (1 to 100).foreach(i => assert(q.offer(Int.box(i))))
     (1 to 100).foreach(i => assert(q.poll() == Int.box(i)))
-  }
-
-  test("peek does not consume") {
-    val q = new SpscQueue(4)
-    q.offer("x")
-    assert(q.peek() == "x")
-    assert(q.peek() == "x")
-    assert(q.poll() == "x")
-  }
-
-  test("drainTo respects the limit and returns the count") {
-    val q = new SpscQueue(16)
-    (1 to 10).foreach(i => q.offer(Int.box(i)))
-    val seen = Vector.newBuilder[Int]
-    assert(q.drainTo(x => seen += x.asInstanceOf[Int], 4) == 4)
-    assert(seen.result() == Vector(1, 2, 3, 4))
-    assert(q.size == 6)
   }
 
   test("wrap-around keeps items intact across many cycles") {
