@@ -26,4 +26,10 @@ class T1ThroughputVsLatencyBench extends AnyFunSuite {
       s"no saturation signal: top-rate p99.99 ${last.p9999}ms vs low-rate p50 ${first.p50}ms"
     )
   }
+
+  test("T1 at the paper's 10 k keys (§7.3): latency rows are recorded") {
+    val rows = Tables.t1(keys = 10000)
+    assert(rows.size == 4)
+    rows.foreach { case (_, s) => assert(s.count > 0, "no latency samples recorded") }
+  }
 }

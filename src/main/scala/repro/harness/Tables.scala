@@ -58,15 +58,19 @@ object Tables {
   /** Fig. 7 (§7.3): throughput/core vs latency, Q5, 10 ms slide, 1 node.
     * Paper: p99.99 ≈ 13 ms at 0.5 M ev/s/core rising to ≈ 98 ms at 2 M.
     */
-  def t1(durationSec: Double = 10, rates: Seq[Double] = Seq(5e5, 1e6, 2e6, 4e6)): Vector[(Double, LatencyStats)] = {
+  def t1(
+      durationSec: Double = 10,
+      rates: Seq[Double] = Seq(5e5, 1e6, 2e6, 4e6),
+      keys: Int = DefaultKeys
+  ): Vector[(Double, LatencyStats)] = {
     require(warmed)
-    hdr("T1 (Fig 7) Q5 throughput-per-core vs latency, 1 node x 6 threads, slide 10ms | " +
+    hdr(s"T1 (Fig 7) Q5 throughput-per-core vs latency, 1 node x 6 threads, slide 10ms, $keys keys | " +
       "paper: 0.5M/core->13ms ... 2M/core->98ms p99.99")
     val threads = 6
     rates.toVector.map { rate =>
       val spec  = RunSpec(nodes = 1, threadsPerNode = threads, ratePerSec = rate, durationSec = durationSec)
-      val stats = ExperimentRunner.runLatency(spec, genCfg(), q5Builder(Q5Window), s"t1-$rate")
-      println(f"T1| rate=${rate / 1e3}%7.0fk/s  perCore=${rate / threads / 1e3}%7.1fk/s  ${stats.row}")
+      val stats = ExperimentRunner.runLatency(spec, genCfg(keys), q5Builder(Q5Window), s"t1-$keys-$rate")
+      println(f"T1| keys=$keys%6d  rate=${rate / 1e3}%7.0fk/s  perCore=${rate / threads / 1e3}%7.1fk/s  ${stats.row}")
       (rate, stats)
     }
   }

@@ -36,22 +36,22 @@ class WindowingSpec extends AnyFunSuite {
     }
   }
 
-  /** Drives accumulate→combine directly with a single-sink outbox. */
-  private def runWindowPair(
-      items: Seq[(Any, Long)],
-      wd: WindowDef,
-      aggrOp: AggregateOperation[LongAcc, Long],
-      watermarks: Seq[Long]
-  ): Vector[KeyedWindowResult[Any, Long]] = {
-    val accQ  = new SpscQueue(1 << 20)
-    val outQ  = new SpscQueue(1 << 20)
-    val accOut = new Outbox(Array(new EdgeCollector(Array(new LocalQueueSink(accQ)), RoutingPolicy.RoundRobin)))
-    val combOut = new Outbox(Array(new EdgeCollector(Array(new LocalQueueSink(outQ)), RoutingPolicy.RoundRobin)))
-    val acc  = new AccumulateByFrameP[LongAcc](v => v, aggrOp, wd.slideMs)
-    val comb = new CombineFramesP[LongAcc, Long](aggrOp, wd)
-    val inbox = new Inbox
+  private def outboxInto(q: SpscQueue): Outbox =
+    new Outbox(Array(new EdgeCollector(Array(new LocalQueueSink(q)), RoutingPolicy.RoundRobin)))
 
-    def feedCombine(): Unit = {
+  /** Drives accumulate→combine directly, each with a single-sink outbox;
+    * items are their own keys.
+    */
+  private final class WindowPair[A, R](aggrOp: AggregateOperation[A, R], wd: WindowDef) {
+    private val accQ    = new SpscQueue(1 << 20)
+    private val outQ    = new SpscQueue(1 << 20)
+    private val accOut  = outboxInto(accQ)
+    private val combOut = outboxInto(outQ)
+    private val inbox   = new Inbox
+    var acc             = new AccumulateByFrameP[A](v => v, aggrOp, wd.slideMs)
+    var comb            = new CombineFramesP[A, R](aggrOp, wd)
+
+    private def feedCombine(): Unit = {
       var x = accQ.poll()
       while (x != null) {
         x match {
@@ -62,35 +62,87 @@ class WindowingSpec extends AnyFunSuite {
       }
     }
 
-    val sortedItems = items.sortBy(_._2)
-    var wmIdx       = 0
-    for ((v, ts) <- sortedItems) {
-      while (wmIdx < watermarks.size && watermarks(wmIdx) <= ts) {
-        val wm = Watermark(watermarks(wmIdx))
-        assert(acc.tryProcessWatermark(wm, accOut))
-        feedCombine()
-        assert(comb.tryProcessWatermark(wm, combOut))
-        wmIdx += 1
-      }
+    def item(v: Any, ts: Long): Unit = {
       inbox.add(DataItem(v, ts))
       acc.process(0, inbox, accOut)
     }
-    assert(acc.complete(accOut))
-    feedCombine()
-    assert(comb.complete(combOut))
 
-    val out = Vector.newBuilder[KeyedWindowResult[Any, Long]]
-    var x   = outQ.poll()
-    while (x != null) {
-      x match {
-        case DataItem(r: KeyedWindowResult[_, _], _) =>
-          out += r.asInstanceOf[KeyedWindowResult[Any, Long]]
-        case _ => ()
-      }
-      x = outQ.poll()
+    def watermark(wm: Long): Unit = {
+      assert(acc.tryProcessWatermark(Watermark(wm), accOut))
+      feedCombine()
+      assert(comb.tryProcessWatermark(Watermark(wm), combOut))
     }
-    out.result()
+
+    /** Snapshots both processors, as an aligned barrier would find them,
+      * and restores the state, Java-serialized as the IMDG holds it, into
+      * fresh instances.
+      */
+    def restart(): Unit = {
+      feedCombine()
+      val accState  = roundTrip(acc.saveSnapshot().toVector)
+      val combState = roundTrip(comb.saveSnapshot().toVector)
+      acc = new AccumulateByFrameP[A](v => v, aggrOp, wd.slideMs)
+      acc.restoreSnapshot(accState.iterator)
+      comb = new CombineFramesP[A, R](aggrOp, wd)
+      comb.restoreSnapshot(combState.iterator)
+    }
+
+    def complete(): Vector[KeyedWindowResult[Any, R]] = {
+      assert(acc.complete(accOut))
+      feedCombine()
+      assert(comb.complete(combOut))
+      val out = Vector.newBuilder[KeyedWindowResult[Any, R]]
+      var x   = outQ.poll()
+      while (x != null) {
+        x match {
+          case DataItem(r: KeyedWindowResult[_, _], _) => out += r.asInstanceOf[KeyedWindowResult[Any, R]]
+          case _                                       => ()
+        }
+        x = outQ.poll()
+      }
+      out.result()
+    }
   }
+
+  private def roundTrip(entries: Vector[(Any, Any)]): Vector[(Any, Any)] = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(entries)
+    oos.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[Vector[(Any, Any)]]
+  }
+
+  /** Feeds `items` in timestamp order, each watermark before the first item
+    * at or past it, with a snapshot-and-restore before item `restartAt`.
+    */
+  private def runPair[A, R](
+      items: Seq[(Any, Long)],
+      wd: WindowDef,
+      aggrOp: AggregateOperation[A, R],
+      watermarks: Seq[Long],
+      restartAt: Int = -1
+  ): (Vector[KeyedWindowResult[Any, R]], WindowPair[A, R]) = {
+    val pair  = new WindowPair(aggrOp, wd)
+    var wmIdx = 0
+    for (((v, ts), i) <- items.sortBy(_._2).zipWithIndex) {
+      while (wmIdx < watermarks.size && watermarks(wmIdx) <= ts) {
+        pair.watermark(watermarks(wmIdx))
+        wmIdx += 1
+      }
+      if (i == restartAt) pair.restart()
+      pair.item(v, ts)
+    }
+    (pair.complete(), pair)
+  }
+
+  private def runWindowPair(
+      items: Seq[(Any, Long)],
+      wd: WindowDef,
+      aggrOp: AggregateOperation[LongAcc, Long],
+      watermarks: Seq[Long]
+  ): Vector[KeyedWindowResult[Any, Long]] =
+    runPair(items, wd, aggrOp, watermarks)._1
 
   private def naiveCounts(items: Seq[(Any, Long)], wd: WindowDef): Map[(Any, Long), Long] =
     (for { (v, ts) <- items; we <- Windowing.windowEnds(ts, wd) } yield (v, we))
@@ -141,6 +193,49 @@ class WindowingSpec extends AnyFunSuite {
     assert(got == expected)
   }
 
+  /** Runs with a snapshot-and-restore of both stages halfway through the
+    * items, then checks that no key state outlives `complete()`. Callers
+    * use more keys than items per frame, so keys skip frames and some
+    * drop out of the window between their frames.
+    */
+  private def runRestarted[A, R](
+      items: Seq[(Any, Long)],
+      wd: WindowDef,
+      aggrOp: AggregateOperation[A, R]
+  ): Map[(Any, Long), R] = {
+    val wms         = (0L to 1100L by wd.slideMs).toVector
+    val (out, pair) = runPair(items, wd, aggrOp, wms, restartAt = items.size / 2)
+    assert(pair.comb.saveSnapshot().map(_._1).toVector == Vector("meta"))
+    assert(pair.acc.saveSnapshot().isEmpty)
+    val got = out.map(r => (r.key, r.windowEnd) -> r.result)
+    assert(got.map(_._1).distinct.size == got.size)
+    got.toMap
+  }
+
+  test("snapshot and restore mid-window: counting (deduct path) equals naive counts") {
+    val rnd   = new Random(23)
+    val wd    = WindowDef(80, 20)
+    val items = (0 until 4000).map(_ => (("k" + rnd.nextInt(60)): Any, rnd.nextLong(1000)))
+    assert(runRestarted(items, wd, AggregateOperations.counting) == naiveCounts(items, wd))
+  }
+
+  test("snapshot and restore mid-window: summingLong (deduct path) equals naive sums") {
+    val rnd   = new Random(29)
+    val wd    = WindowDef(100, 25)
+    val items = (0 until 4000).map(i => ((i % 53).toLong: Any, rnd.nextLong(900)))
+    val got   = runRestarted(items, wd, AggregateOperations.summingLong(v => v.asInstanceOf[Long]))
+    val expected = naiveCounts(items, wd).map { case ((k, we), n) => (k, we) -> k.asInstanceOf[Long] * n }
+    assert(got == expected)
+  }
+
+  test("snapshot and restore mid-window: toList (recombine path) has the naive sizes") {
+    val rnd   = new Random(31)
+    val wd    = WindowDef(60, 20)
+    val items = (0 until 3000).map(_ => (("k" + rnd.nextInt(40)): Any, rnd.nextLong(800)))
+    val got   = runRestarted(items, wd, AggregateOperations.toList)
+    assert(got.map { case (kw, xs) => kw -> xs.size.toLong } == naiveCounts(items, wd))
+  }
+
   test("averagingDouble deduct path stays numerically consistent") {
     val op  = AggregateOperations.averagingDouble(v => v.asInstanceOf[Double])
     val a   = op.create(); val b = op.create()
@@ -174,6 +269,22 @@ class WindowingSpec extends AnyFunSuite {
   test("toList has no deduct (recombine path is selected)") {
     assert(AggregateOperations.toList.deduct.isEmpty)
     assert(AggregateOperations.counting.deduct.isDefined)
+  }
+
+  test("FrameTable finds every key through hash collisions, growth and reuse") {
+    final case class Clashing(id: Int) { override def hashCode: Int = id % 3 }
+    val keys: Seq[AnyRef] =
+      (0 until 300).map(i => if (i % 2 == 0) Clashing(i) else java.lang.Long.valueOf(i * 1024L))
+    val t = new FrameTable[AnyRef, java.lang.Integer]
+    for (_ <- 0 until 2) {
+      keys.zipWithIndex.foreach { case (k, i) => assert(t.get(k) == null); t.add(k, i) }
+      keys.zipWithIndex.foreach { case (k, i) => assert(t.get(k) == i) }
+      val seen = mutable.Map.empty[AnyRef, Int]
+      t.forEach((k, v) => seen(k) = v.intValue)
+      assert(seen == keys.zipWithIndex.toMap)
+      t.clear()
+      keys.foreach(k => assert(t.get(k) == null))
+    }
   }
 
   test("WindowEndAggregateP groups by window end and emits on watermark") {
