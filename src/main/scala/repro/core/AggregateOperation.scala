@@ -75,4 +75,25 @@ object AggregateOperations {
       def copyAcc(a: mutable.ArrayBuffer[Any])            = a.clone()
       def finish(a: mutable.ArrayBuffer[Any])             = a.toList
     }
+
+  /** The two bags of [[toTwoBags]]: left items, then right items. */
+  type TwoBags = (mutable.ArrayBuffer[Any], mutable.ArrayBuffer[Any])
+
+  /** Co-group of two tagged inputs into two bags (Jet's `toTwoBags`): a
+    * `Left(v)` item goes to the first bag, a `Right(v)` item to the second.
+    * No `deduct`, so a window recombines its frames. Grouped by key over a
+    * window, this is a window join.
+    */
+  def toTwoBags: AggregateOperation[TwoBags, (Vector[Any], Vector[Any])] =
+    new AggregateOperation[TwoBags, (Vector[Any], Vector[Any])] {
+      def create()                         = (mutable.ArrayBuffer.empty[Any], mutable.ArrayBuffer.empty[Any])
+      def accumulate(acc: TwoBags, i: Any) = i match {
+        case Left(v)  => acc._1 += v; ()
+        case Right(v) => acc._2 += v; ()
+        case other    => throw new IllegalArgumentException(s"toTwoBags needs a Left or Right item, got $other")
+      }
+      def combine(acc: TwoBags, o: TwoBags) = { acc._1 ++= o._1; acc._2 ++= o._2; () }
+      def copyAcc(a: TwoBags)               = (a._1.clone(), a._2.clone())
+      def finish(a: TwoBags)                = (a._1.toVector, a._2.toVector)
+    }
 }

@@ -10,8 +10,10 @@ import scala.collection.mutable
   * exponentially longer, capped low (~130 µs) so a newly arrived event
   * never waits long — latency at the tail is the whole point (§5).
   */
-final class Idler(spinLimit: Int = 20, maxParkNanos: Long = 131072L) {
-  private var idleCount = 0
+final class Idler {
+  private val spinLimit    = 20
+  private val maxParkNanos = 131072L
+  private var idleCount    = 0
   def reset(): Unit = idleCount = 0
   def idle(): Unit = {
     idleCount += 1

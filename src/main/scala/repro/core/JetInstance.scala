@@ -75,9 +75,6 @@ final class Job private[core] (
   }
 
   def snapshotsCompleted: Int = if (snapshotCtl == null) 0 else snapshotCtl.completedCount
-
-  /** Per-tasklet state lines for stall diagnosis. */
-  def debugDump: String = tasklets.map(_.debugState).mkString("\n")
 }
 
 /** The Jet cluster simulator: N logical members in one JVM, each with its

@@ -132,11 +132,7 @@ final class Inbox {
   private val q = new java.util.ArrayDeque[DataItem]()
 
   def add(item: DataItem): Unit = q.addLast(item)
-  def peek(): DataItem          = q.peekFirst()
   def poll(): DataItem          = q.pollFirst()
-  def remove(): Unit            = { q.removeFirst(); () }
   def isEmpty: Boolean          = q.isEmpty
   def nonEmpty: Boolean         = !q.isEmpty
-  def size: Int                 = q.size
-  def clear(): Unit             = q.clear()
 }

@@ -91,9 +91,10 @@ final class GeneratorSourceP(
     totalEvents: Long,
     pacer: Option[Pacer],
     wmStrideMs: Long,
-    skewGuard: SkewGuard = null,
-    batchLimit: Int = 512
+    skewGuard: SkewGuard = null
 ) extends Processor {
+  /** Most events emitted per `complete` call. */
+  private val BatchLimit            = 512
   private var ctx: ProcessorContext = _
   private var nextSeq               = 0L
   private var step                  = 1L
@@ -111,7 +112,7 @@ final class GeneratorSourceP(
 
   override def complete(outbox: Outbox): Boolean = {
     var emitted = 0
-    while (emitted < batchLimit) {
+    while (emitted < BatchLimit) {
       if (pendingWm != null) {
         if (!outbox.offerSpecial(pendingWm)) return false
         lastWm = pendingWm.ts
@@ -159,7 +160,9 @@ final class GeneratorSourceP(
 /** Finite batch source over an in-memory sequence, split round-robin over
   * the instances. Emits no watermarks (batch stages assume finite input).
   */
-final class BatchSourceP(data: IndexedSeq[Any], batchLimit: Int = 512) extends Processor {
+final class BatchSourceP(data: IndexedSeq[Any]) extends Processor {
+  /** Most items emitted per `complete` call. */
+  private val BatchLimit            = 512
   private var ctx: ProcessorContext = _
   private var next                  = 0L
   override def init(c: ProcessorContext): Unit = { ctx = c; next = c.globalIndex.toLong }
@@ -168,7 +171,7 @@ final class BatchSourceP(data: IndexedSeq[Any], batchLimit: Int = 512) extends P
 
   override def complete(outbox: Outbox): Boolean = {
     var emitted = 0
-    while (emitted < batchLimit) {
+    while (emitted < BatchLimit) {
       if (next >= data.size) return true
       if (!outbox.offer(data(next.toInt), 0L)) return false
       next += ctx.totalParallelism
@@ -321,12 +324,9 @@ final class AccumulateBatchP[A](keyFn: Any => Any, aggrOp: AggregateOperation[A,
 }
 
 /** Batch grouped aggregation, stage 2: combines (key, acc) partials arriving
-  * over a key-partitioned distributed edge, emits `mapResult(key, finish)`.
+  * over a key-partitioned distributed edge, emits `(key, finish)`.
   */
-final class CombineBatchP[A, R](
-    aggrOp: AggregateOperation[A, R],
-    mapResult: (Any, R) => Any = (k: Any, r: R) => (k, r)
-) extends Processor {
+final class CombineBatchP[A, R](aggrOp: AggregateOperation[A, R]) extends Processor {
   private val accs = mutable.HashMap.empty[Any, A]
 
   def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
@@ -342,7 +342,7 @@ final class CombineBatchP[A, R](
   }
 
   override def complete(outbox: Outbox): Boolean = {
-    accs.foreach { case (k, a) => outbox.emit(mapResult(k, aggrOp.finish(a)), 0L) }
+    accs.foreach { case (k, a) => outbox.emit((k, aggrOp.finish(a)), 0L) }
     accs.clear()
     outbox.flush()
   }

@@ -1,19 +1,26 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.atomic.{AtomicLong, AtomicReference}
 
 /** Adaptive receive-window flow control for a node-to-node link (§3.3).
   *
-  * The sender may have at most `ackedProcessed + window − sent` items in
-  * flight. The receiver acknowledges every `ackIntervalMs` (100 ms in Jet),
-  * at which point the window is resized to `windowMultiplier ×` the items
-  * processed in the last interval — Jet's "roughly 300 milliseconds' worth
+  * The sender may send while `sent < acknowledged + window`, where
+  * `acknowledged` is the receiver's processed count at its last ack. The
+  * receiver acknowledges every `ackIntervalMs` (100 ms in Jet), at which
+  * point the window is resized to `windowMultiplier ×` the items processed
+  * in the last interval — Jet's "roughly 300 milliseconds' worth
   * of data" steady state — so a slow receiver shrinks the window and
   * backpressures the sender, while a fast one keeps data always available.
   *
   * In this reproduction the "network" is in-process: the link wraps the
   * same SPSC queues, but every send and every receive goes through this
   * exact protocol.
+  *
+  * Every producer and consumer instance on a node pair shares one link, so
+  * the state is changed only by compare-and-set: a send reserves a slot by
+  * CAS on `sent`, and an acknowledgment replaces the whole `Ack` record,
+  * so exactly one caller acks per interval and the acknowledged count
+  * never moves backwards.
   */
 final class ReceiveWindow(
     val ackIntervalMs: Long = 100,
@@ -21,18 +28,21 @@ final class ReceiveWindow(
     val minWindow: Long = 256,
     val windowMultiplier: Double = 3.0
 ) {
+  import ReceiveWindow.Ack
+
   private val sent      = new AtomicLong(0)
   private val processed = new AtomicLong(0)
-
-  @volatile private var ackedProcessed = 0L
-  @volatile private var window         = initialWindow
-  @volatile private var lastAckNanos   = System.nanoTime()
+  private val ack       = new AtomicReference(Ack(0L, initialWindow, System.nanoTime()))
 
   /** Sender side: reserve a slot if the window allows it. */
   def trySend(): Boolean = {
-    if (sent.get() >= ackedProcessed + window) return false
-    sent.incrementAndGet()
-    true
+    while (true) {
+      val s = sent.get()
+      val a = ack.get()
+      if (s >= a.processed + a.window) return false
+      if (sent.compareAndSet(s, s + 1)) return true
+    }
+    false
   }
 
   /** Sender side: undo a reservation (queue refused the item). */
@@ -44,21 +54,30 @@ final class ReceiveWindow(
     maybeAck()
   }
 
-  /** Receiver side: send the periodic acknowledgment if it is due. */
+  /** Receiver side: send the periodic acknowledgment if it is due. The
+    * count is read after the previous ack was installed, so it is never
+    * below that ack's.
+    */
   def maybeAck(): Unit = {
-    val now = System.nanoTime()
-    if (now - lastAckNanos >= ackIntervalMs * 1000000L) {
-      val p           = processed.get()
-      val inLastRound = p - ackedProcessed
-      window = math.max(minWindow, (inLastRound * windowMultiplier).toLong)
-      ackedProcessed = p
-      lastAckNanos = now
+    val now  = System.nanoTime()
+    val last = ack.get()
+    if (now - last.nanos >= ackIntervalMs * 1000000L) {
+      val p = processed.get()
+      ack.compareAndSet(last, Ack(p, math.max(minWindow, ((p - last.processed) * windowMultiplier).toLong), now))
+      ()
     }
   }
 
   def inFlight: Long      = sent.get() - processed.get()
-  def currentWindow: Long = window
-  def unacked: Long       = sent.get() - ackedProcessed
+  def currentWindow: Long = ack.get().window
+  def unacked: Long       = sent.get() - ack.get().processed
+}
+
+object ReceiveWindow {
+  /** One acknowledgment: items processed so far, the window it grants and
+    * when it was sent.
+    */
+  private final case class Ack(processed: Long, window: Long, nanos: Long)
 }
 
 /** Sender-side sink of a distributed edge: the SPSC queue to the remote

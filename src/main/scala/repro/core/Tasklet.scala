@@ -301,16 +301,5 @@ final class ProcessorTasklet(
     onFailure(e)
   }
 
-  /** One-line state snapshot for stall diagnosis. */
-  def debugState: String = {
-    val chans = inputs.map { ch =>
-      val link = if (ch.link != null) f" link(unacked=${ch.link.unacked},win=${ch.link.currentWindow})" else ""
-      s"o${ch.ordinal}[q=${ch.queue.size} done=${ch.done} wm=${ch.lastWm} bar=${ch.barrierId}$link]"
-    }.mkString(" ")
-    s"$taskletId done=$doneReported cancelled=$cancelled emittedWm=$emittedWm " +
-      s"pendingWm=$pendingWatermark pendingBar=$pendingBarrier outboxPending=${outbox.hasPending} " +
-      s"inbox=${inbox.size} align=$alignmentId :: $chans"
-  }
-
   override def toString = s"Tasklet($taskletId)"
 }

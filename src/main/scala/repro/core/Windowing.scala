@@ -267,8 +267,7 @@ final class AccumulateByFrameP[A](
   */
 final class CombineFramesP[A, R](
     aggrOp: AggregateOperation[A, R],
-    wd: WindowDef,
-    mapResult: (Any, Long, R) => Any = (k: Any, we: Long, r: R) => KeyedWindowResult(k, we, r)
+    wd: WindowDef
 ) extends Processor {
 
   /** A key's state: its running accumulator (null while the key is in no
@@ -338,7 +337,7 @@ final class CombineFramesP[A, R](
       ks.lastFrame = math.max(ks.lastFrame, we)
     }
     keys.forEach { (k, ks) =>
-      if (ks.running != null) outbox.emit(mapResult(k, we, aggrOp.finish(aggrOp.copyAcc(ks.running))), we)
+      if (ks.running != null) outbox.emit(KeyedWindowResult(k, we, aggrOp.finish(aggrOp.copyAcc(ks.running))), we)
     }
     val expiringEnd = we - wd.sizeMs + wd.slideMs
     frames.take(expiringEnd)(_.forEach { (ks, acc) =>
@@ -359,7 +358,7 @@ final class CombineFramesP[A, R](
       }
       aggrOp.combine(w, acc)
     })
-    window.forEach((ks, acc) => outbox.emit(mapResult(ks.key, we, aggrOp.finish(acc)), we))
+    window.forEach((ks, acc) => outbox.emit(KeyedWindowResult(ks.key, we, aggrOp.finish(acc)), we))
     val expiringEnd = we - wd.sizeMs + wd.slideMs
     frames.takeUpTo(expiringEnd)((_, f) => f.forEach((ks, _) => forgetIfDone(ks, expiringEnd)))
   }
@@ -440,98 +439,5 @@ final class WindowEndAggregateP(
     entries.foreach { case (we, v) =>
       byWindow.computeIfAbsent(we.asInstanceOf[Long], _ => mutable.ArrayBuffer.empty) ++=
         v.asInstanceOf[Vector[Any]]
-    }
-}
-
-/** Keyed sliding-window join of two streams (NEXMark Q8): buffers both
-  * inputs per (key, frame); when a window closes, keys present on *both*
-  * sides within the window produce `resultFn(key, lefts, rights, windowEnd)`.
-  * Joins run as a single distributed stage (both edges partition on the
-  * join key), like Jet's stream-to-stream joins.
-  */
-final class TwoInputWindowJoinP(
-    keyL: Any => Any,
-    keyR: Any => Any,
-    wd: WindowDef,
-    resultFn: (Any, Vector[Any], Vector[Any], Long) => Iterator[Any]
-) extends Processor {
-
-  private final class KeyState {
-    val frames = new java.util.TreeMap[Long, (mutable.ArrayBuffer[Any], mutable.ArrayBuffer[Any])]()
-  }
-
-  private val states = mutable.HashMap.empty[Any, KeyState]
-  private val closer = new WindowCloser(wd)
-
-  def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
-    var d = inbox.poll()
-    while (d != null) {
-      val key = if (ordinal == 0) keyL(d.value) else keyR(d.value)
-      val fe  = Windowing.frameEnd(d.timestamp, wd.slideMs)
-      val ks  = states.getOrElseUpdate(key, new KeyState)
-      var pair = ks.frames.get(fe)
-      if (pair == null) {
-        pair = (mutable.ArrayBuffer.empty[Any], mutable.ArrayBuffer.empty[Any])
-        ks.frames.put(fe, pair)
-      }
-      (if (ordinal == 0) pair._1 else pair._2) += d.value
-      closer.sawFrame(fe)
-      d = inbox.poll()
-    }
-  }
-
-  override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = emitUpTo(wm.ts, outbox)
-
-  override def complete(outbox: Outbox): Boolean = emitUpTo(Long.MaxValue, outbox)
-
-  private def emitUpTo(upTo: Long, outbox: Outbox): Boolean = {
-    closer.closeUpTo(upTo)(emitWindow(_, outbox))
-    outbox.flush()
-  }
-
-  private def emitWindow(we: Long, outbox: Outbox): Unit = {
-    val emptied = Vector.newBuilder[Any]
-    states.foreachEntry { (key, ks) =>
-      val sub = ks.frames.subMap(we - wd.sizeMs, false, we, true)
-      if (!sub.isEmpty) {
-        val lefts  = Vector.newBuilder[Any]
-        val rights = Vector.newBuilder[Any]
-        sub.values.forEach { case (l, r) => lefts ++= l; rights ++= r }
-        val (ls, rs) = (lefts.result(), rights.result())
-        if (ls.nonEmpty && rs.nonEmpty)
-          resultFn(key, ls, rs, we).foreach(outbox.emit(_, we))
-      }
-      ks.frames.headMap(we - wd.sizeMs + wd.slideMs, true).clear()
-      if (ks.frames.isEmpty) emptied += key
-    }
-    emptied.result().foreach(states.remove)
-  }
-
-  override def saveSnapshot(): Iterator[(Any, Any)] = {
-    import scala.jdk.CollectionConverters._
-    val keyEntries = states.iterator.map { case (k, ks) =>
-      val frames = ks.frames.entrySet.asScala
-        .map(e => (e.getKey: Long, (e.getValue._1.toVector, e.getValue._2.toVector))).toVector
-      (("ks", k): Any, frames: Any)
-    }
-    keyEntries ++ Iterator(closer.snapshotEntry)
-  }
-
-  override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
-    entries.foreach {
-      case ("meta", v) => closer.restore(v)
-      case (("ks", k), v) =>
-        val ks = states.getOrElseUpdate(k, new KeyState)
-        v.asInstanceOf[Vector[(Long, (Vector[Any], Vector[Any]))]].foreach {
-          case (fe, (ls, rs)) =>
-            var pair = ks.frames.get(fe)
-            if (pair == null) {
-              pair = (mutable.ArrayBuffer.empty[Any], mutable.ArrayBuffer.empty[Any])
-              ks.frames.put(fe, pair)
-            }
-            pair._1 ++= ls
-            pair._2 ++= rs
-        }
-      case other => throw new IllegalStateException(s"unexpected snapshot entry: $other")
     }
 }

@@ -124,9 +124,6 @@ final class IMap[K, V](val name: String, cluster: GridCluster) {
     holders(p).foreach(n => cluster.node(n).store(name, p).put(key, value))
   }
 
-  def putAll(entries: IterableOnce[(K, V)]): Unit =
-    entries.iterator.foreach { case (k, v) => put(k, v) }
-
   def get(key: K): Option[V] = cluster.withReadLock {
     val p = Partitioning.partitionId(key, cluster.partitionCount)
     Option(primaryNode(p).store(name, p).get(key)).map(_.asInstanceOf[V])

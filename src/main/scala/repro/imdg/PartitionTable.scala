@@ -17,21 +17,7 @@ final case class PartitionTable(replicas: Vector[Vector[Int]]) {
   /** All nodes holding any replica of partition `p`. */
   def holders(p: Int): Vector[Int] = replicas(p)
 
-  /** Partitions for which `node` holds the primary replica. */
-  def primariesOf(node: Int): Vector[Int] =
-    (0 until partitionCount).filter(p => primary(p) == node).toVector
-
-  /** Partitions for which `node` holds any replica. */
-  def heldBy(node: Int): Vector[Int] =
-    (0 until partitionCount).filter(p => replicas(p).contains(node)).toVector
-
   /** Replica-count histogram node → number of replicas held. */
   def loadByNode: Map[Int, Int] =
     replicas.flatten.groupBy(identity).map { case (n, xs) => n -> xs.size }
-}
-
-object PartitionTable {
-  /** An empty table (no partitions assigned yet). */
-  def empty(partitionCount: Int): PartitionTable =
-    PartitionTable(Vector.fill(partitionCount)(Vector.empty))
 }

@@ -35,9 +35,12 @@ private[pipeline] sealed trait StageDef { def id: Int }
 private[pipeline] final case class SourceStage(id: Int, src: SourceDef) extends StageDef
 private[pipeline] final case class MapStage(id: Int, upstream: StageDef, f: Any => Iterator[Any])
     extends StageDef
+/** Two-stage windowed aggregation of `upstreams`, input ordinal `i` of the
+  * accumulate stage fed by `upstreams(i)`.
+  */
 private[pipeline] final case class WindowAggStage(
     id: Int,
-    upstream: StageDef,
+    upstreams: Vector[StageDef],
     keyFn: Any => Any,
     aggrOp: AggregateOperation[Any, Any],
     wd: WindowDef
@@ -60,15 +63,6 @@ private[pipeline] final case class HashJoinStage(
     probeKey: Any => Any,
     buildKey: Any => Any,
     joinFn: (Any, Vector[Any]) => Iterator[Any]
-) extends StageDef
-private[pipeline] final case class WindowJoinStage(
-    id: Int,
-    left: StageDef,
-    right: StageDef,
-    keyL: Any => Any,
-    keyR: Any => Any,
-    wd: WindowDef,
-    resultFn: (Any, Vector[Any], Vector[Any], Long) => Iterator[Any]
 ) extends StageDef
 private[pipeline] final case class SinkStage(id: Int, upstream: StageDef, sink: SinkDef)
     extends StageDef
@@ -146,26 +140,30 @@ final class StreamStage[T] private[pipeline] (p: Pipeline, private[pipeline] val
       )
     )
 
-  /** Keyed sliding-window stream-to-stream join (NEXMark Q8). */
+  /** Keyed sliding-window stream-to-stream join (NEXMark Q8), as a
+    * windowed co-group: both sides, tagged `Left`/`Right`, feed one two-stage
+    * window aggregation with [[AggregateOperations.toTwoBags]], and each key
+    * present on both sides within a window yields
+    * `resultFn(key, lefts, rights, windowEnd)`.
+    */
   def windowJoin[U, K, R](
       right: StreamStage[U],
       keyL: T => K,
       keyR: U => K,
       wd: WindowDef,
       resultFn: (K, Vector[T], Vector[U], Long) => Iterator[R]
-  ): StreamStage[R] =
-    new StreamStage[R](
-      p,
-      WindowJoinStage(
-        p.freshId(), node, right.node,
-        v => keyL(v.asInstanceOf[T]),
-        v => keyR(v.asInstanceOf[U]),
-        wd,
-        (k, ls, rs, we) =>
-          resultFn(k.asInstanceOf[K], ls.asInstanceOf[Vector[T]], rs.asInstanceOf[Vector[U]], we)
-            .map(x => x: Any)
-      )
-    )
+  ): StreamStage[R] = {
+    val keyFn: Any => Any = {
+      case Left(v)  => keyL(v.asInstanceOf[T])
+      case Right(v) => keyR(v.asInstanceOf[U])
+    }
+    val bags = WindowAggStage(p.freshId(), Vector(map(Left(_)).node, right.map(Right(_)).node), keyFn,
+      AggregateOperations.toTwoBags.asInstanceOf[AggregateOperation[Any, Any]], wd)
+    new StreamStage[KeyedWindowResult[K, (Vector[T], Vector[U])]](p, bags).flatMap { r =>
+      val (ls, rs) = r.result
+      if (ls.isEmpty || rs.isEmpty) Iterator.empty else resultFn(r.key, ls, rs, r.windowEnd)
+    }
+  }
 
   /** Whole-window post-aggregation keyed by window end (NEXMark Q5's
     * "auction with the most bids"); `T` must be [[KeyedWindowResult]].
@@ -193,7 +191,7 @@ final class WindowedStage[T, K] private[pipeline] (
   def aggregate[A, R](op: AggregateOperation[A, R]): StreamStage[KeyedWindowResult[K, R]] =
     new StreamStage[KeyedWindowResult[K, R]](
       p,
-      WindowAggStage(p.freshId(), node, v => keyFn(v.asInstanceOf[T]),
+      WindowAggStage(p.freshId(), Vector(node), v => keyFn(v.asInstanceOf[T]),
         op.asInstanceOf[AggregateOperation[Any, Any]], wd)
     )
 }
@@ -248,11 +246,13 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline) {
       dag.edge(EdgeDef(upstream, 0, v.name, 0, RoutingPolicy.RoundRobin, distributed = false))
       v.name
 
-    case WindowAggStage(id, upstream, keyFn, op, wd) =>
-      val up   = compileStage(upstream)
+    case WindowAggStage(id, upstreams, keyFn, op, wd) =>
+      val ups  = upstreams.map(compileStage)
       val accV = dag.newVertex(s"v$id-accumulate", () => new AccumulateByFrameP(keyFn, op, wd.slideMs))
       val combV = dag.newVertex(s"v$id-combine", () => new CombineFramesP(op, wd))
-      dag.edge(EdgeDef(up, 0, accV.name, 0, RoutingPolicy.Partitioned(keyFn), distributed = false))
+      ups.zipWithIndex.foreach { case (up, ordinal) =>
+        dag.edge(EdgeDef(up, 0, accV.name, ordinal, RoutingPolicy.Partitioned(keyFn), distributed = false))
+      }
       dag.edge(EdgeDef(accV.name, 0, combV.name, 0,
         RoutingPolicy.Partitioned(v => v.asInstanceOf[FrameAggregate[Any, Any]].key),
         distributed = true))
@@ -284,14 +284,6 @@ private[pipeline] final class PipelinePlanner(pipeline: Pipeline) {
         priority = 0))
       dag.edge(EdgeDef(probeV, 0, v.name, 1, RoutingPolicy.RoundRobin, distributed = false,
         priority = 1))
-      v.name
-
-    case WindowJoinStage(id, left, right, keyL, keyR, wd, resultFn) =>
-      val leftV  = compileStage(left)
-      val rightV = compileStage(right)
-      val v = dag.newVertex(s"v$id-winjoin", () => new TwoInputWindowJoinP(keyL, keyR, wd, resultFn))
-      dag.edge(EdgeDef(leftV, 0, v.name, 0, RoutingPolicy.Partitioned(keyL), distributed = true))
-      dag.edge(EdgeDef(rightV, 0, v.name, 1, RoutingPolicy.Partitioned(keyR), distributed = true))
       v.name
 
     case s: SinkStage =>

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSupport
+import repro.nexmark.{Generator, NexmarkConfig, Queries}
 import repro.pipeline._
 
 /** End-to-end engine tests: pipelines run on the simulated cluster and the
@@ -254,5 +255,39 @@ class EngineSpec extends AnyFunSuite {
     assert(combineEdge.distributed, "combine stage must sit behind a distributed edge")
     val accEdge = dag.edges.find(_.to.contains("accumulate")).get
     assert(!accEdge.distributed, "accumulate stage must be node-local")
+  }
+
+  test("Queries.q5 compiles to a pinned DAG, and Q8 to a co-group on the window stages") {
+    // Vertex order decides which cooperative thread each tasklet lands on.
+    def edges(dag: Dag) = dag.edges.map { e =>
+      val kind = e.routing match {
+        case RoutingPolicy.RoundRobin     => "round-robin"
+        case _: RoutingPolicy.Partitioned => "partitioned"
+        case RoutingPolicy.Broadcast      => "broadcast"
+      }
+      (e.from, e.to, e.toOrdinal, kind, e.distributed)
+    }
+    val sp   = Queries.StreamParams(new Generator(NexmarkConfig()), 10)
+    val sink = ForeachSinkDef((_, _) => (), 1)
+    val q5   = new Pipeline
+    Queries.q5(q5, sp, WindowDef(1000, 10), sink)
+    val dag5 = q5.toDag()
+    assert(dag5.vertices.map(_.name) ==
+      Vector("v1-src", "v2-fused", "v3-accumulate", "v3-combine", "v4-winend", "v5-sink"))
+    assert(edges(dag5) == Vector(
+      ("v1-src", "v2-fused", 0, "round-robin", false),
+      ("v2-fused", "v3-accumulate", 0, "partitioned", false),
+      ("v3-accumulate", "v3-combine", 0, "partitioned", true),
+      ("v3-combine", "v4-winend", 0, "partitioned", true),
+      ("v4-winend", "v5-sink", 0, "round-robin", false)
+    ))
+
+    val q8 = new Pipeline
+    Queries.q8(q8, sp, WindowDef(1000, 10), sink)
+    val dag8 = q8.toDag()
+    val acc  = dag8.vertices.map(_.name).filter(_.endsWith("-accumulate"))
+    assert(acc.size == 1)
+    assert(dag8.inboundEdges(acc.head).map(_.toOrdinal) == Vector(0, 1))
+    assert(!dag8.vertices.exists(_.name.contains("winjoin")))
   }
 }

@@ -70,6 +70,46 @@ class ReceiveWindowSpec extends AnyFunSuite {
     assert(rw.inFlight == 4)
   }
 
+  test("concurrent senders never exceed the window") {
+    // One link per round; every thread sends until refused, so the window
+    // is filled exactly unless two reservations race past the check. The
+    // window is large enough that all threads are sending when it fills.
+    val threads = 4
+    val windows = Vector.fill(100)(new ReceiveWindow(ackIntervalMs = 100000, initialWindow = 20000))
+    val start   = new java.util.concurrent.CyclicBarrier(threads)
+    val senders = Vector.fill(threads)(new Thread(() =>
+      windows.foreach { rw =>
+        start.await(10, java.util.concurrent.TimeUnit.SECONDS)
+        while (rw.trySend()) ()
+      }
+    ))
+    senders.foreach(_.start())
+    senders.foreach(_.join(30000))
+    assert(senders.forall(!_.isAlive), "senders did not finish")
+    windows.foreach(rw => assert(rw.inFlight == 20000))
+  }
+
+  test("concurrent acks never move the acknowledged count backwards") {
+    for (interval <- Seq(0L, 1L)) {
+      val rw = new ReceiveWindow(ackIntervalMs = interval, initialWindow = 1000)
+      (1 to 1000).foreach(_ => rw.trySend()) // `sent` stays 1000, so `unacked` only falls
+      val stop = new java.util.concurrent.atomic.AtomicBoolean(false)
+      val receivers = Vector.fill(3)(new Thread(() => while (!stop.get()) rw.onReceive(1)))
+      var prev     = rw.unacked
+      var rises    = 0
+      receivers.foreach(_.start())
+      val until = System.nanoTime() + 300000000L
+      while (System.nanoTime() < until) {
+        val u = rw.unacked
+        if (u > prev) rises += 1
+        prev = u
+      }
+      stop.set(true)
+      receivers.foreach(_.join(5000))
+      assert(rises == 0, s"acknowledged count moved backwards $rises times (ack interval $interval ms)")
+    }
+  }
+
   test("end-to-end: a slow remote consumer backpressures the producer") {
     // Distributed round-robin edge across 2 nodes: the producer can never
     // have more than window+queue items outstanding.

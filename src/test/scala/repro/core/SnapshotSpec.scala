@@ -101,6 +101,39 @@ class SnapshotSpec extends AnyFunSuite {
     } finally inst.shutdown()
   }
 
+  test("exactly-once: window-join state survives a node failure") {
+    val inst = new JetInstance(3, 2)
+    try {
+      val store = new ResultStore
+      val total = 120000L
+      val wd    = WindowDef(100, 50)
+      val p     = new Pipeline
+      val src   = p.readFrom[Long](StreamSourceDef(seq => seq, seq => seq / 20, total, Some(new Pacer(40000)), 10, 1))
+      src.filter(_ % 2 == 0)
+        .windowJoin[Long, Long, (Long, Long, Long, Long)](
+          src.filter(_ % 2 == 1), _ % 7, _ % 7, wd,
+          (k, ls, rs, we) => Iterator.single((k, ls.size.toLong, rs.size.toLong, we))
+        )
+        .writeTo(TransactionalSinkDef(store))
+      val job = inst.submit(p.toDag(), JobConfig("eo-join-fail", Guarantee.ExactlyOnce, snapshotIntervalMs = 200))
+      val deadline = System.currentTimeMillis() + 30000
+      while (job.snapshotsCompleted < 2 && System.currentTimeMillis() < deadline) Thread.sleep(10)
+      assert(job.snapshotsCompleted >= 2, "no snapshots committed before failure injection")
+      val job2 = inst.failNodeAndRecover(job, inst.nodes.head.id)
+      job2.awaitCompletion(180000)
+
+      def byWin(side: Long) = (for {
+        seq <- side until total by 2
+        we  <- Windowing.windowEnds(seq / 20, wd)
+      } yield (seq % 7, we)).groupBy(identity).view.mapValues(_.size.toLong).toMap
+      val (lw, rw) = (byWin(0), byWin(1))
+      val expected = (lw.keySet intersect rw.keySet).toVector.map { case (k, we) => (k, lw((k, we)), rw((k, we)), we) }
+      val got      = store.results.map(_.asInstanceOf[(Long, Long, Long, Long)])
+      assert(got.size == got.distinct.size, "duplicate join results")
+      assert(got.toSet == expected.toSet)
+    } finally inst.shutdown()
+  }
+
   test("at-least-once: failure recovery never loses a window, may duplicate") {
     val inst = new JetInstance(2, 2)
     try {

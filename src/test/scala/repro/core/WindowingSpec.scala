@@ -271,6 +271,17 @@ class WindowingSpec extends AnyFunSuite {
     assert(AggregateOperations.counting.deduct.isDefined)
   }
 
+  test("toTwoBags co-groups Left and Right items and rejects untagged ones") {
+    val op = AggregateOperations.toTwoBags
+    assert(op.deduct.isEmpty)
+    val a, b = op.create()
+    op.accumulate(a, Left(1)); op.accumulate(a, Right("x"))
+    op.accumulate(b, Left(2))
+    op.combine(a, b)
+    assert(op.finish(a) == ((Vector(1, 2), Vector("x"))))
+    intercept[IllegalArgumentException](op.accumulate(a, 3))
+  }
+
   test("FrameTable finds every key through hash collisions, growth and reuse") {
     final case class Clashing(id: Int) { override def hashCode: Int = id % 3 }
     val keys: Seq[AnyRef] =
