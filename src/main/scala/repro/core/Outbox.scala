@@ -59,7 +59,8 @@ final class EdgeCollector(val sinks: Array[QueueSink], val routing: RoutingPolic
 
   private def nextSink(): QueueSink = {
     val sink = sinks(rrCursor)
-    rrCursor = (rrCursor + 1) % sinks.length
+    rrCursor += 1
+    if (rrCursor == sinks.length) rrCursor = 0
     sink
   }
 }

@@ -12,11 +12,16 @@ import scala.collection.mutable
 final class Pacer(val eventsPerSecond: Double) {
   private val startNanos = new AtomicLong(Long.MinValue)
 
-  /** Wall-clock start (first call wins). */
+  /** Wall-clock start (first call wins). Only calls made while it is unset
+    * try to set it, so the per-event path is one volatile read.
+    */
   def start(): Long = {
-    val now = System.nanoTime()
-    startNanos.compareAndSet(Long.MinValue, now)
-    startNanos.get()
+    val s = startNanos.get()
+    if (s != Long.MinValue) s
+    else {
+      startNanos.compareAndSet(Long.MinValue, System.nanoTime())
+      startNanos.get()
+    }
   }
 
   def started: Boolean = startNanos.get() != Long.MinValue
@@ -101,6 +106,7 @@ final class GeneratorSourceP(
   private var lastWm                = Long.MinValue
   private var pendingWm: Watermark  = _
   private var finalWmSent           = false
+  private val pacerOrNull: Pacer    = pacer.orNull
 
   override def init(c: ProcessorContext): Unit = {
     ctx = c
@@ -126,7 +132,7 @@ final class GeneratorSourceP(
         }
         return true
       }
-      if (pacer.exists(p => !p.allowed(nextSeq))) return false
+      if (pacerOrNull != null && !pacerOrNull.allowed(nextSeq)) return false
       val ts = tsOf(nextSeq)
       // Bound inter-instance event-time skew once per batch (emitted==0).
       if (skewGuard != null && emitted == 0 &&

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.{AtomicLong, AtomicReference}
+import java.util.concurrent.atomic.{AtomicLongArray, AtomicReference}
 
 /** Adaptive receive-window flow control for a node-to-node link (§3.3).
   *
@@ -20,7 +20,9 @@ import java.util.concurrent.atomic.{AtomicLong, AtomicReference}
   * the state is changed only by compare-and-set: a send reserves a slot by
   * CAS on `sent`, and an acknowledgment replaces the whole `Ack` record,
   * so exactly one caller acks per interval and the acknowledged count
-  * never moves backwards.
+  * never moves backwards. The senders' `sent` and the receivers'
+  * `processed` sit on separate cache lines of one padded `AtomicLongArray`,
+  * laid out like [[SpscQueue]]'s counters.
   */
 final class ReceiveWindow(
     val ackIntervalMs: Long = 100,
@@ -28,29 +30,28 @@ final class ReceiveWindow(
     val minWindow: Long = 256,
     val windowMultiplier: Double = 3.0
 ) {
-  import ReceiveWindow.Ack
+  import ReceiveWindow.{Ack, Length, Processed, Sent}
 
-  private val sent      = new AtomicLong(0)
-  private val processed = new AtomicLong(0)
-  private val ack       = new AtomicReference(Ack(0L, initialWindow, System.nanoTime()))
+  private val counters = new AtomicLongArray(Length)
+  private val ack      = new AtomicReference(Ack(0L, initialWindow, System.nanoTime()))
 
   /** Sender side: reserve a slot if the window allows it. */
   def trySend(): Boolean = {
     while (true) {
-      val s = sent.get()
+      val s = counters.get(Sent)
       val a = ack.get()
       if (s >= a.processed + a.window) return false
-      if (sent.compareAndSet(s, s + 1)) return true
+      if (counters.compareAndSet(Sent, s, s + 1)) return true
     }
     false
   }
 
   /** Sender side: undo a reservation (queue refused the item). */
-  def undoSend(): Unit = { sent.decrementAndGet(); () }
+  def undoSend(): Unit = { counters.decrementAndGet(Sent); () }
 
   /** Receiver side: `n` items were consumed from the link's queues. */
   def onReceive(n: Int): Unit = {
-    processed.addAndGet(n.toLong)
+    counters.addAndGet(Processed, n.toLong)
     maybeAck()
   }
 
@@ -62,15 +63,20 @@ final class ReceiveWindow(
     val now  = System.nanoTime()
     val last = ack.get()
     if (now - last.nanos >= ackIntervalMs * 1000000L) {
-      val p = processed.get()
+      val p = counters.get(Processed)
       ack.compareAndSet(last, Ack(p, math.max(minWindow, ((p - last.processed) * windowMultiplier).toLong), now))
       ()
     }
   }
 
-  def inFlight: Long      = sent.get() - processed.get()
-  def currentWindow: Long = ack.get().window
-  def unacked: Long       = sent.get() - ack.get().processed
+  /** Items sent and not yet received; for ROADMAP item 4's per-edge metrics. */
+  private[core] def inFlight: Long = counters.get(Sent) - counters.get(Processed)
+
+  /** The window the last ack granted; for ROADMAP item 4's per-edge metrics. */
+  private[core] def currentWindow: Long = ack.get().window
+
+  /** Items sent beyond the last ack's count; for ROADMAP item 4's per-edge metrics. */
+  private[core] def unacked: Long = counters.get(Sent) - ack.get().processed
 }
 
 object ReceiveWindow {
@@ -78,6 +84,10 @@ object ReceiveWindow {
     * when it was sent.
     */
   private final case class Ack(processed: Long, window: Long, nanos: Long)
+
+  private final val Sent      = SpscQueue.Pad
+  private final val Processed = 2 * SpscQueue.Pad
+  private final val Length    = 3 * SpscQueue.Pad
 }
 
 /** Sender-side sink of a distributed edge: the SPSC queue to the remote

@@ -102,4 +102,98 @@ class SpscQueueSpec extends AnyFunSuite {
     val q = new SpscQueue(4)
     intercept[IllegalArgumentException](q.offer(null))
   }
+
+  test("offer refuses at exactly capacity, across many wrap-arounds") {
+    for (cap <- Seq(1, 2, 3, 5, 1023, 1024, 1025)) {
+      val q    = new SpscQueue(cap)
+      var next = 0
+      var read = 0
+      // Alternate between filling to the brim and draining, with a drain
+      // that leaves one item behind so the fill point shifts every round.
+      for (round <- 0 until 30) {
+        var accepted = 0
+        while (q.offer(Int.box(next))) { next += 1; accepted += 1 }
+        assert(q.size == cap, s"capacity $cap, round $round: size ${q.size} when full")
+        assert(!q.offer("extra"), s"capacity $cap, round $round: accepted past capacity")
+        val keep = if (round % 2 == 0) 0 else math.min(1, cap - 1)
+        while (q.size > keep) {
+          assert(q.poll() == Int.box(read), s"capacity $cap: FIFO broken at $read")
+          read += 1
+        }
+      }
+      // The slot array has fewer than 2 × capacity slots, so this is at
+      // least ten passes over it.
+      assert(next >= 20 * cap, s"capacity $cap: only $next items offered")
+      var item = q.poll()
+      while (item != null) { assert(item == Int.box(read)); read += 1; item = q.poll() }
+      assert(read == next)
+      assert(q.isEmpty)
+    }
+  }
+
+  test("1 M items through capacity 7 with a concurrent producer and consumer") {
+    val q     = new SpscQueue(7)
+    val total = 1_000_000
+    val error = new java.util.concurrent.atomic.AtomicReference[String](null)
+    val producer = new Thread(() => {
+      var i = 0
+      while (i < total) if (q.offer(Int.box(i))) i += 1 else Thread.onSpinWait()
+    })
+    val consumer = new Thread(() => {
+      var expected = 0
+      while (expected < total) {
+        val s = q.size
+        if (s > 7) error.compareAndSet(null, s"size $s above capacity 7")
+        val item = q.poll()
+        if (item != null) {
+          if (item.asInstanceOf[Int] != expected)
+            error.compareAndSet(null, s"expected $expected got $item")
+          expected += 1
+        } else Thread.onSpinWait()
+      }
+    })
+    producer.start(); consumer.start()
+    producer.join(60000); consumer.join(60000)
+    assert(!producer.isAlive && !consumer.isAlive, "threads did not finish")
+    assert(error.get() == null, s"violation: ${error.get()}")
+    assert(q.isEmpty)
+    assert(q.poll() == null)
+  }
+
+  test("a consumer faster than its producer polls empty slots without losing items") {
+    val q     = new SpscQueue(16)
+    val total = 100_000
+    val error = new java.util.concurrent.atomic.AtomicReference[String](null)
+    val emptyPolls = new java.util.concurrent.atomic.AtomicLong(0)
+    val producer = new Thread(() => {
+      var i    = 0
+      var sink = 0L
+      while (i < total) {
+        // Work between offers, so the consumer keeps finding the next slot empty.
+        var w = 0
+        while (w < 200) { sink += (sink * 31 + w) ^ i; w += 1 }
+        if (q.offer(Int.box(i))) i += 1
+      }
+      if (sink == 42) println(sink)
+    })
+    val consumer = new Thread(() => {
+      var expected = 0
+      var empty    = 0L
+      while (expected < total) {
+        val item = q.poll()
+        if (item != null) {
+          if (item.asInstanceOf[Int] != expected)
+            error.compareAndSet(null, s"expected $expected got $item")
+          expected += 1
+        } else empty += 1
+      }
+      emptyPolls.set(empty)
+    })
+    producer.start(); consumer.start()
+    producer.join(60000); consumer.join(60000)
+    assert(!producer.isAlive && !consumer.isAlive, "threads did not finish")
+    assert(error.get() == null, s"violation: ${error.get()}")
+    assert(emptyPolls.get() > 0, "the consumer never found the queue empty")
+    assert(q.isEmpty)
+  }
 }
