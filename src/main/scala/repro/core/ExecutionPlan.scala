@@ -7,7 +7,10 @@ import repro.imdg.GridCluster
   * member, `localParallelism` processor instances per vertex per member
   * (§3.1, Figure 3), SPSC queues for every producer→consumer pair, local
   * routing wherever the edge allows it, and receive-window flow control on
-  * every member-crossing pair of a distributed edge.
+  * every member-crossing pair of a distributed edge. One
+  * [[PartitionOwnership]], built from the grid's partition table, decides
+  * both where partitioned edges send a key and which instance restores the
+  * key's snapshot state.
   */
 object ExecutionPlan {
 
@@ -44,13 +47,12 @@ object ExecutionPlan {
   private final class Instance(
       val vertex: Vertex,
       val node: JetNode,
-      val nodeIdx: Int,
-      val localIdx: Int,
       val globalIdx: Int
   ) {
     val processor: Processor = vertex.createProcessor()
     val channels             = mutable.ArrayBuffer.empty[InputChannel]
     val collectors           = mutable.ArrayBuffer.empty[EdgeCollector]
+    val restored             = mutable.ArrayBuffer.empty[(Any, Any)]
   }
 
   def build(
@@ -67,22 +69,30 @@ object ExecutionPlan {
 
     def lp(v: Vertex): Int = if (v.localParallelism > 0) v.localParallelism else nodes.head.cooperativeThreads
 
-    // 1. Processor instances: globalIdx = nodeIdx * lp + localIdx.
+    val ownership = PartitionOwnership(grid.table, nodes.map(_.id).toArray)
+
+    // 1. Processor instances, numbered member by member as the ownership
+    //    map numbers them: globalIdx = nodeIdx * lp + localIdx.
     val instances: Map[String, Vector[Instance]] = dag.vertices.map { v =>
       val l = lp(v)
       val is = for {
         (node, nodeIdx) <- nodes.zipWithIndex
         localIdx        <- 0 until l
-      } yield new Instance(v, node, nodeIdx, localIdx, nodeIdx * l + localIdx)
-      v.name -> is.toVector
+      } yield new Instance(v, node, nodeIdx * l + localIdx)
+      v.name -> is
     }.toMap
 
     // 2. Edges: queues + channels + collectors. Out-edge order per vertex
     //    follows dag.outboundEdges so every producer instance's outbox has
-    //    a consistent edge layout.
+    //    a consistent edge layout. A partitioned edge's sinks are indexed
+    //    the way `ownership.routes` numbers them.
     for (v <- dag.vertices; e <- dag.outboundEdges(v.name)) {
       val producers = instances(e.from)
-      val consumers = instances(e.to).sortBy(_.globalIdx)
+      val consumers = instances(e.to)
+      val routes = e.routing match {
+        case _: RoutingPolicy.Partitioned => ownership.routes(lp(consumers.head.vertex), e.distributed)
+        case _                            => null
+      }
       // One shared flow-control link per (edge, fromNode, toNode) pair.
       val links = mutable.Map.empty[(Int, Int), ReceiveWindow]
       for (p <- producers) {
@@ -97,22 +107,26 @@ object ExecutionPlan {
           c.channels += new InputChannel(q, e.toOrdinal, e.priority, link)
           if (link != null) new FlowControlledSink(q, link) else new LocalQueueSink(q)
         }.toArray
-        p.collectors += new EdgeCollector(sinks, e.routing)
+        p.collectors += new EdgeCollector(sinks, e.routing, routes)
       }
     }
 
-    // 3. Snapshot restore data, grouped per (vertex, globalIdx).
-    val restoreEntries: Map[(String, Int), Vector[(Any, Any)]] =
-      if (restoreSnapshotId > 0) {
-        val map = grid.getMap[Any, Any](ctl.snapshotMapName(restoreSnapshotId))
-        map.entries.groupMap { case (k, _) =>
-          val (vn, gi, _) = k.asInstanceOf[(String, Int, Any)]
-          (vn, gi)
-        } { case (k, v) =>
-          val (_, _, entryKey) = k.asInstanceOf[(String, Int, Any)]
-          (entryKey, deserialize(v.asInstanceOf[Array[Byte]]))
+    // 3. Snapshot restore: each partition's keyed entries go to the
+    //    instance that owns the partition now, broadcast entries to every
+    //    instance of their vertex.
+    if (restoreSnapshotId > 0) {
+      val map = grid.getMap[SnapshotKey, Array[Byte]](ctl.snapshotMapName(restoreSnapshotId))
+      for (p <- 0 until ownership.partitionCount; (k, bytes) <- map.entriesInPartition(p)) {
+        val owners = instances.getOrElse(k.vertex, throw new IllegalStateException(
+          s"snapshot $restoreSnapshotId: entry ${k.entryKey} of vertex ${k.vertex} (partition $p) " +
+            "has no owning instance: the job has no such vertex"))
+        val entry = (k.entryKey, deserialize(bytes))
+        k.entryKey match {
+          case _: BroadcastKey => owners.foreach(_.restored += entry)
+          case _               => owners(ownership.instanceOf(p, lp(owners.head.vertex))).restored += entry
         }
-      } else Map.empty
+      }
+    }
 
     // 4. Tasklets.
     val jobRef         = new JobRef
@@ -123,16 +137,14 @@ object ExecutionPlan {
       val total = instances(v.name).size
       val ctx   = ProcessorContext(jobId, v.name, inst.globalIdx, total, inst.node.id)
       inst.processor.init(ctx)
-      restoreEntries.get((v.name, inst.globalIdx)).foreach { es =>
-        inst.processor.restoreSnapshot(es.iterator)
-      }
+      if (inst.restored.nonEmpty) inst.processor.restoreSnapshot(inst.restored.iterator)
       val taskletId = s"j$jobId-${v.name}-${inst.globalIdx}"
       val writer: (Long, Iterator[(Any, Any)]) => Unit =
         if (ctl == null) (_, _) => ()
         else { (snapId, entries) =>
-          val map = grid.getMap[Any, Any](ctl.snapshotMapName(snapId))
+          val map = grid.getMap[SnapshotKey, Array[Byte]](ctl.snapshotMapName(snapId))
           entries.foreach { case (k, value) =>
-            map.put((v.name, inst.globalIdx, k), serialize(value))
+            map.put(SnapshotKey(v.name, inst.globalIdx, k), serialize(value))
           }
         }
       val t = new ProcessorTasklet(

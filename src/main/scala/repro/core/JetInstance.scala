@@ -4,7 +4,7 @@ import java.util.concurrent.CountDownLatch
 import java.util.concurrent.atomic.{AtomicLong, AtomicReference}
 import java.util.concurrent.TimeUnit
 import scala.collection.mutable
-import repro.imdg.{GridCluster, Partitioning}
+import repro.imdg.GridCluster
 
 /** Job-level configuration: guarantee and snapshot cadence (§4.4), and
   * the capacity of every SPSC queue between two processor instances.
@@ -86,14 +86,14 @@ final class JetInstance(
     initialNodeCount: Int,
     val threadsPerNode: Int,
     backupCount: Int = 1,
-    partitionCount: Int = Partitioning.DefaultPartitionCount,
     extraGridMembers: Int = 0
 ) {
   /** `extraGridMembers` adds IMDG members that host replicas but run no
     * tasklets — e.g. §7.1's "replicate the snapshots to another 1 member
-    * node" with the dataflow itself on one node.
+    * node" with the dataflow itself on one node. Such a member owns no
+    * partitions (see [[PartitionOwnership]]).
     */
-  val grid = new GridCluster(initialNodeCount + extraGridMembers, partitionCount, backupCount)
+  val grid = new GridCluster(initialNodeCount + extraGridMembers, backupCount = backupCount)
 
   private var jetNodes: Vector[JetNode] =
     grid.members.take(initialNodeCount).map(id => new JetNode(id, threadsPerNode))
@@ -107,9 +107,10 @@ final class JetInstance(
 
   /** Simulate the failure of member `nodeId` while `job` is running, then
     * recover per §4.4: the job stops cluster-wide, the grid promotes the
-    * dead member's backup replicas, a substitute member joins, and the job
-    * restarts from the last committed snapshot with sources replaying from
-    * their snapshotted offsets.
+    * dead member's backup replicas, a substitute member joins and takes
+    * partitions over, and the job restarts from the last committed
+    * snapshot: each instance restores the state of the partitions it owns
+    * in the new table, and sources replay from their snapshotted offsets.
     */
   def failNodeAndRecover(job: Job, nodeId: Int): Job = {
     require(job.config.guarantee != Guarantee.NoGuarantee, "recovery needs snapshots enabled")

@@ -19,8 +19,8 @@ sealed trait RoutingPolicy
 object RoutingPolicy {
   /** Any consumer — items spread round-robin, skipping full queues. */
   case object RoundRobin extends RoutingPolicy
-  /** Key-partitioned: `keyFn(item)` decides the owning consumer, aligned
-    * with the IMDG partitioning (§4.1).
+  /** Key-partitioned: the consumer owning `keyFn(item)`'s IMDG partition
+    * gets the item ([[PartitionOwnership]], §4.1).
     */
   final case class Partitioned(keyFn: Any => Any) extends RoutingPolicy
   /** Every consumer receives every item (e.g. a hash-join build side). */
@@ -28,18 +28,27 @@ object RoutingPolicy {
 }
 
 /** Routes one producer's output over one edge to that edge's consumer sinks.
+  * A partitioned edge sends an item to `sinks(routes(partition))`, `routes`
+  * being its partition → sink table from [[PartitionOwnership.routes]]
+  * (other edges may pass null).
   *
   * Every item goes through [[Outbox.deliver]], which parks it in the outbox's
   * pending queue when its sink is full or earlier items still wait there.
   */
-final class EdgeCollector(val sinks: Array[QueueSink], val routing: RoutingPolicy) {
+final class EdgeCollector(val sinks: Array[QueueSink], val routing: RoutingPolicy, routes: Array[Int]) {
   require(sinks.nonEmpty, "edge with no consumers")
   private var rrCursor = 0
+
+  /** The edge as one member runs it: partition `p` goes to sink
+    * `p % sinks.length`.
+    */
+  def this(sinks: Array[QueueSink], routing: RoutingPolicy) =
+    this(sinks, routing, PartitionOwnership.singleMember.routes(sinks.length, distributed = false))
 
   private[core] def route(item: DataItem, outbox: Outbox): Unit =
     routing match {
       case RoutingPolicy.Partitioned(keyFn) =>
-        outbox.deliver(sinks(Partitioning.consumerIndex(keyFn(item.value), sinks.length)), item)
+        outbox.deliver(sinks(routes(Partitioning.partitionId(keyFn(item.value), routes.length))), item)
       case RoutingPolicy.RoundRobin =>
         var tried = 0
         while (tried < sinks.length) {

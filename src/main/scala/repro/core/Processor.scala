@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.imdg.PartitionAware
+
 /** Identity and placement of one parallel processor instance. */
 final case class ProcessorContext(
     jobId: Long,
@@ -56,10 +58,30 @@ trait Processor {
   def onSnapshotCommitted(snapshotId: Long): Unit = ()
 
   /** State entries for a checkpoint (§4.4). Must be safe to retain after
-    * the call (copy mutable accumulators).
+    * the call (copy mutable accumulators). An entry's key places it: a
+    * keyed entry is restored to the instance that owns the key's partition,
+    * the one its vertex's partitioned input edge routes that key to; an
+    * entry under a [[BroadcastKey]] is restored to every instance.
     */
   def saveSnapshot(): Iterator[(Any, Any)] = Iterator.empty
 
-  /** Restore this instance's share of a checkpoint. */
+  /** Restore this instance's share of a checkpoint: the keyed entries it
+    * owns now and every instance's broadcast entries.
+    */
   def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit = ()
+}
+
+/** A snapshot entry key that belongs to no partition: the entry is restored
+  * to every instance of its vertex (Jet's `BroadcastKey`). Used for
+  * per-instance bookkeeping such as source offsets and window-close
+  * progress.
+  */
+final case class BroadcastKey(key: Any)
+
+/** The IMDG key of one snapshot entry: the writing vertex and instance plus
+  * the entry's own key, which alone places it. `writerIdx` only keeps the
+  * keys of different writers apart.
+  */
+final case class SnapshotKey(vertex: String, writerIdx: Int, entryKey: Any) extends PartitionAware {
+  def partitionKey: Any = entryKey
 }

@@ -24,8 +24,6 @@ final class Pacer(val eventsPerSecond: Double) {
     }
   }
 
-  def started: Boolean = startNanos.get() != Long.MinValue
-
   /** May global event `seq` be emitted now? */
   def allowed(seq: Long): Boolean = {
     val s = start()
@@ -151,16 +149,34 @@ final class GeneratorSourceP(
     false
   }
 
+  /** One broadcast entry, keyed by this instance's index and the vertex's
+    * parallelism, since that fixes which sequence numbers are this
+    * instance's.
+    */
   override def saveSnapshot(): Iterator[(Any, Any)] =
-    Iterator(("offset": Any, (nextSeq, lastWm, finalWmSent): Any))
+    Iterator((BroadcastKey(("offset", ctx.globalIndex, ctx.totalParallelism)): Any, (nextSeq, lastWm, finalWmSent): Any))
 
-  override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
+  /** Every instance receives every instance's offset and takes its own. A
+    * snapshot from another parallelism cannot be re-sliced, so it fails.
+    */
+  override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit = {
+    var found = false
     entries.foreach {
-      case ("offset", v) =>
-        val (seq, wm, f) = v.asInstanceOf[(Long, Long, Boolean)]
-        nextSeq = seq; lastWm = wm; finalWmSent = f
+      case (BroadcastKey(("offset", idx: Int, parallelism: Int)), v) =>
+        if (parallelism != ctx.totalParallelism)
+          throw new IllegalStateException(
+            s"source vertex ${ctx.vertexName}: the snapshot holds offsets for parallelism $parallelism, " +
+              s"this job runs it with parallelism ${ctx.totalParallelism}")
+        if (idx == ctx.globalIndex) {
+          val (seq, wm, f) = v.asInstanceOf[(Long, Long, Boolean)]
+          nextSeq = seq; lastWm = wm; finalWmSent = f
+          found = true
+        }
       case other => throw new IllegalStateException(s"unexpected source snapshot entry: $other")
     }
+    if (!found)
+      throw new IllegalStateException(s"source vertex ${ctx.vertexName}: no offset for instance ${ctx.globalIndex}")
+  }
 }
 
 /** Finite batch source over an in-memory sequence, split round-robin over
@@ -266,15 +282,18 @@ final class TransactionalSinkP(store: ResultStore) extends Processor {
     true
   }
 
+  /** A transaction is named by its writer and snapshot id, so whichever
+    * instance restores it publishes it under the writer's name.
+    */
   override def saveSnapshot(): Iterator[(Any, Any)] =
-    prepared.iterator.map { case (id, items) => (("txn", id): Any, items: Any) }
+    prepared.iterator.map { case (id, items) => (("txn", ctx.globalIndex, id): Any, items: Any) }
 
   override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
     entries.foreach {
-      case (("txn", id: Long), items) =>
+      case (("txn", writer: Int, id: Long), items) =>
         // These transactions are part of the committed snapshot: publish
         // them; commitTxn dedupes if they already made it out pre-crash.
-        store.commitTxn(ctx.globalIndex, id, items.asInstanceOf[Vector[Any]])
+        store.commitTxn(writer, id, items.asInstanceOf[Vector[Any]])
       case other => throw new IllegalStateException(s"unexpected sink snapshot entry: $other")
     }
 }

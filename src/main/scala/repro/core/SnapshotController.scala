@@ -16,6 +16,11 @@ import repro.imdg.GridCluster
   * Snapshot state lives in two alternating IMDG maps (`id % 2`), like Jet:
   * the previous committed snapshot is never overwritten while the next one
   * is in flight.
+  *
+  * A source that finishes takes part in no later snapshot, yet a restore
+  * must find its final offset or it would replay its whole input; so the
+  * controller writes a finished source's final state into every later
+  * snapshot itself.
   */
 final class SnapshotController(
     val jobName: String,
@@ -29,6 +34,10 @@ final class SnapshotController(
 
   private val registered  = ConcurrentHashMap.newKeySet[String]()
   @volatile private var pendingAcks: java.util.Set[String] = _
+  /** Writers of finished sources' final state, by snapshot id; guarded by
+    * `this`, which also orders them against the start of a snapshot.
+    */
+  private val finishedSources = scala.collection.mutable.ArrayBuffer.empty[Long => Unit]
 
   def snapshotMapName(id: Long): String = s"snap-$jobName-${id % 2}"
   def metaMapName: String               = s"snapmeta-$jobName"
@@ -45,6 +54,19 @@ final class SnapshotController(
     registered.remove(taskletId)
     val p = pendingAcks
     if (p != null) p.remove(taskletId)
+  }
+
+  /** Source `taskletId` finished; `lastWritten` is the last snapshot it
+    * wrote itself and `writeFinal(id)` puts its final state into snapshot
+    * `id`. That goes into the snapshot in flight, if the source did not
+    * write it, and into every later one.
+    */
+  def sourceFinished(taskletId: String, lastWritten: Long, writeFinal: Long => Unit): Unit = {
+    synchronized {
+      finishedSources += writeFinal
+      if (requestedId > lastWritten) writeFinal(requestedId)
+    }
+    taskletFinished(taskletId)
   }
 
   def ack(taskletId: String, snapshotId: Long): Unit =
@@ -73,11 +95,14 @@ final class SnapshotController(
 
   private def runOneSnapshot(): Unit = {
     val id = requestedId + 1
-    grid.getMap[Any, Any](snapshotMapName(id)).clear()
-    val p = ConcurrentHashMap.newKeySet[String]()
-    p.addAll(registered)
-    pendingAcks = p
-    requestedId = id
+    val p  = ConcurrentHashMap.newKeySet[String]()
+    synchronized {
+      grid.getMap[Any, Any](snapshotMapName(id)).clear()
+      finishedSources.foreach(_(id))
+      p.addAll(registered)
+      pendingAcks = p
+      requestedId = id
+    }
     val deadline = System.nanoTime() + 60_000_000_000L
     while (running && !p.isEmpty && System.nanoTime() < deadline) Thread.sleep(1)
     if (p.isEmpty && running) {

@@ -287,7 +287,12 @@ final class ProcessorTasklet(
   private def finish(reportDone: Boolean): TaskletState = {
     if (!doneReported) {
       doneReported = true
-      if (snapshotCtl != null) snapshotCtl.taskletFinished(taskletId)
+      if (snapshotCtl != null) {
+        if (reportDone && isSource) {
+          val last = processor.saveSnapshot().toVector
+          snapshotCtl.sourceFinished(taskletId, lastSnapshotId, id => snapshotWriter(id, last.iterator))
+        } else snapshotCtl.taskletFinished(taskletId)
+      }
       onFinished(this)
     }
     TaskletState.Done

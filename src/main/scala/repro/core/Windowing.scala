@@ -23,7 +23,12 @@ object Windowing {
 
 /** Which sliding windows a keyed window processor has still to close: the
   * next window end, and the last frame seen so far, which bounds closing
-  * when the final watermark is +inf. Snapshotted as one "meta" entry.
+  * when the final watermark is +inf. Snapshotted as one broadcast "meta"
+  * entry, so a restored instance gets every instance's: it resumes at the
+  * earliest next window of those that held frames. An instance holding no
+  * frames writes an unset meta, which restores nothing: it has nothing left
+  * to close, and its next window may lie behind the others' (it closed all
+  * its windows early), where closing again would emit duplicates.
   */
 private[core] final class WindowCloser(wd: WindowDef) {
   private var nextW       = Long.MinValue
@@ -45,13 +50,18 @@ private[core] final class WindowCloser(wd: WindowDef) {
       }
     }
 
-  def snapshotEntry: (Any, Any) = ("meta", (nextW, maxFrameEnd))
+  def snapshotEntry(holdsFrames: Boolean): (Any, Any) =
+    (WindowCloser.MetaKey, if (holdsFrames) (nextW, maxFrameEnd) else (Long.MinValue, Long.MinValue))
 
   def restore(meta: Any): Unit = {
     val (nw, mfe) = meta.asInstanceOf[(Long, Long)]
-    if (nextW == Long.MinValue || nw < nextW) nextW = nw
+    if (nw != Long.MinValue && (nextW == Long.MinValue || nw < nextW)) nextW = nw
     if (mfe > maxFrameEnd) maxFrameEnd = mfe
   }
+}
+
+private[core] object WindowCloser {
+  val MetaKey: BroadcastKey = BroadcastKey("meta")
 }
 
 /** Open-addressing hash map (linear probing) from key to value, compared
@@ -363,10 +373,11 @@ final class CombineFramesP[A, R](
     frames.takeUpTo(expiringEnd)((_, f) => f.forEach((ks, _) => forgetIfDone(ks, expiringEnd)))
   }
 
-  /** One entry per key, `("ks", key) -> (running, lastFrame, frames)`
-    * (running is null for a key in no open window), plus the "meta" entry.
-    * A key is kept only while it has a partial in some frame, so every key
-    * has frames.
+  /** One entry per key, `key -> (running, lastFrame, frames)` (running is
+    * null for a key in no open window), plus the broadcast "meta" entry.
+    * Keyed by the data key itself, so a restore hands the key's state to
+    * the instance the input edge routes the key to. A key is kept only
+    * while it has a partial in some frame, so every key has frames.
     */
   override def saveSnapshot(): Iterator[(Any, Any)] = {
     val perKey = new java.util.HashMap[KeyState, mutable.ArrayBuffer[(Long, A)]]()
@@ -379,15 +390,16 @@ final class CombineFramesP[A, R](
       val state =
         if (ks.running == null) (null, Long.MinValue, fs.toVector)
         else (aggrOp.copyAcc(ks.running), ks.lastFrame, fs.toVector)
-      (("ks", ks.key): Any, state: Any)
+      (ks.key, state: Any)
     }
-    keyEntries ++ Iterator(closer.snapshotEntry)
+    keyEntries ++ Iterator(closer.snapshotEntry(holdsFrames = !keys.isEmpty))
   }
 
   override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit =
     entries.foreach {
-      case ("meta", v) => closer.restore(v)
-      case (("ks", k), v) =>
+      case (WindowCloser.MetaKey, v) => closer.restore(v)
+      case (b: BroadcastKey, _)      => throw new IllegalStateException(s"unexpected snapshot entry: $b")
+      case (k, v) =>
         val (running, lastFrame, fs) = v.asInstanceOf[(A, Long, Vector[(Long, A)])]
         val ks                       = stateOf(k)
         if (running != null) {
@@ -395,7 +407,6 @@ final class CombineFramesP[A, R](
           ks.lastFrame = lastFrame
         }
         fs.foreach { case (fe, acc) => addPartial(fe, ks, acc) }
-      case other => throw new IllegalStateException(s"unexpected snapshot entry: $other")
     }
 }
 

@@ -119,18 +119,26 @@ final class IMap[K, V](val name: String, cluster: GridCluster) {
   private def holders(p: Int) = cluster.table.holders(p)
   private def primaryNode(p: Int): GridNode = cluster.node(cluster.table.primary(p))
 
+  private def partitionOf(key: K): Int = {
+    val k = key match {
+      case pa: PartitionAware => pa.partitionKey
+      case other              => other
+    }
+    Partitioning.partitionId(k, cluster.partitionCount)
+  }
+
   def put(key: K, value: V): Unit = cluster.withReadLock {
-    val p = Partitioning.partitionId(key, cluster.partitionCount)
+    val p = partitionOf(key)
     holders(p).foreach(n => cluster.node(n).store(name, p).put(key, value))
   }
 
   def get(key: K): Option[V] = cluster.withReadLock {
-    val p = Partitioning.partitionId(key, cluster.partitionCount)
+    val p = partitionOf(key)
     Option(primaryNode(p).store(name, p).get(key)).map(_.asInstanceOf[V])
   }
 
   def remove(key: K): Option[V] = cluster.withReadLock {
-    val p   = Partitioning.partitionId(key, cluster.partitionCount)
+    val p   = partitionOf(key)
     val old = Option(primaryNode(p).store(name, p).get(key))
     holders(p).foreach(n => cluster.node(n).store(name, p).remove(key))
     old.map(_.asInstanceOf[V])

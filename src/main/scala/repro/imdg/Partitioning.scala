@@ -6,8 +6,9 @@ package repro.imdg
   * (271 by default, a prime, so `hash % count` spreads well even for keys
   * with regular strides). Both the Jet execution engine (partitioned edges,
   * §3.1 of the paper) and the IMDG state backend (§4.1) use the *same*
-  * partitioning so that state for a key is local to the processor that
-  * owns that key.
+  * partitioning, and `repro.core.PartitionOwnership` maps each partition to
+  * one processor instance, so state for a key is local to the processor
+  * that owns that key.
   */
 object Partitioning {
 
@@ -30,12 +31,12 @@ object Partitioning {
   /** Partition id of `key` in a space of `partitionCount` partitions. */
   def partitionId(key: Any, partitionCount: Int = DefaultPartitionCount): Int =
     math.floorMod(smear(if (key == null) 0 else key.hashCode), partitionCount)
+}
 
-  /** Which of `consumerCount` parallel processor instances owns `key`.
-    *
-    * Routing goes key → partition → instance so that the engine's data
-    * partitioning and the IMDG's state partitioning stay aligned (§2.4).
-    */
-  def consumerIndex(key: Any, consumerCount: Int): Int =
-    math.floorMod(partitionId(key), consumerCount)
+/** A key that names the key it is partitioned by, like Hazelcast's
+  * `PartitionAware`: an [[IMap]] places it in `partitionId(partitionKey)`.
+  * Only the IMap honours it; edge routing hashes the key it is given.
+  */
+trait PartitionAware {
+  def partitionKey: Any
 }

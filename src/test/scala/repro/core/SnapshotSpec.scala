@@ -276,4 +276,175 @@ class SnapshotSpec extends AnyFunSuite {
       job.awaitTerminated()
     } finally inst.shutdown()
   }
+
+  private def awaitSnapshots(job: Job, n: Int): Unit = {
+    val deadline = System.currentTimeMillis() + 30000
+    while (job.snapshotsCompleted < n && System.currentTimeMillis() < deadline) Thread.sleep(10)
+    assert(job.snapshotsCompleted >= n, s"only ${job.snapshotsCompleted} of $n snapshots committed")
+  }
+
+  test("exactly-once: a source that finished before the failure is not replayed") {
+    val inst = new JetInstance(3, 2)
+    try {
+      val store      = new ResultStore
+      val wd         = WindowDef(100, 50)
+      val shortTotal = 4000L
+      val total      = 120000L
+      // The short source covers the same event time as the long one with
+      // fewer events, unthrottled, so it finishes long before the job.
+      val shortTs  = (seq: Long) => seq * 3 / 2
+      val lastSeqs = java.util.concurrent.ConcurrentHashMap.newKeySet[Long]()
+      val p        = new Pipeline
+      val short = p.readFrom[Long](StreamSourceDef(
+        seq => { if (seq >= shortTotal - 3) lastSeqs.add(seq); seq }, shortTs, shortTotal, None, 10, 1))
+      val long = p.readFrom[Long](StreamSourceDef(seq => seq, seq => seq / 20, total, Some(new Pacer(40000)), 10, 1))
+      short
+        .windowJoin[Long, Long, (Long, Long, Long, Long)](
+          long, _ % 7, _ % 7, wd,
+          (k, ls, rs, we) => Iterator.single((k, ls.size.toLong, rs.size.toLong, we))
+        )
+        .writeTo(TransactionalSinkDef(store))
+      val job = inst.submit(p.toDag(), JobConfig("eo-short-src", Guarantee.ExactlyOnce, snapshotIntervalMs = 200))
+      // All three short-source instances emitted their last event ...
+      val deadline = System.currentTimeMillis() + 30000
+      while (lastSeqs.size < 3 && System.currentTimeMillis() < deadline) Thread.sleep(5)
+      assert(lastSeqs.size == 3, "the short source did not finish")
+      // ... and two snapshots committed since, so at least one began after
+      // the short source had finished.
+      awaitSnapshots(job, job.snapshotsCompleted + 2)
+      val job2 = inst.failNodeAndRecover(job, inst.nodes.head.id)
+      job2.awaitCompletion(180000)
+
+      def byWin(n: Long, ts: Long => Long) = (for {
+        seq <- 0L until n
+        we  <- Windowing.windowEnds(ts(seq), wd)
+      } yield (seq % 7, we)).groupBy(identity).view.mapValues(_.size.toLong).toMap
+      val (lw, rw) = (byWin(shortTotal, shortTs), byWin(total, _ / 20))
+      val expected = (lw.keySet intersect rw.keySet).toVector.map { case (k, we) => (k, lw((k, we)), rw((k, we)), we) }
+      val got      = store.results.map(_.asInstanceOf[(Long, Long, Long, Long)])
+      assert(got.size == got.distinct.size, "duplicate join results")
+      assert(got.toSet == expected.toSet)
+    } finally inst.shutdown()
+  }
+
+  /** Passes everything through to a [[CombineFramesP]], recording which
+    * instance of which job restored and received each key.
+    */
+  private final class KeySpyP(
+      inner: Processor,
+      restored: java.util.Queue[(Long, Int, Any)],
+      received: java.util.Queue[(Long, Int, Any)]
+  ) extends Processor {
+    private var ctx: ProcessorContext = _
+    override def init(c: ProcessorContext): Unit = { ctx = c; inner.init(c) }
+    def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = {
+      val seen = new Inbox
+      var d    = inbox.poll()
+      while (d != null) {
+        received.add((ctx.jobId, ctx.globalIndex, d.value.asInstanceOf[FrameAggregate[Any, Any]].key))
+        seen.add(d)
+        d = inbox.poll()
+      }
+      inner.process(ordinal, seen, outbox)
+    }
+    override def tryProcessWatermark(wm: Watermark, outbox: Outbox): Boolean = inner.tryProcessWatermark(wm, outbox)
+    override def complete(outbox: Outbox): Boolean                          = inner.complete(outbox)
+    override def saveSnapshot(): Iterator[(Any, Any)]                       = inner.saveSnapshot()
+    override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit = {
+      val es = entries.toVector
+      es.foreach {
+        case (_: BroadcastKey, _) => ()
+        case (k, _)               => restored.add((ctx.jobId, ctx.globalIndex, k))
+      }
+      inner.restoreSnapshot(es.iterator)
+    }
+  }
+
+  test("after failNode and addNode, restore hands every combine key to the instance its edge routes it to") {
+    val inst = new JetInstance(3, 2)
+    try {
+      val restored = new java.util.concurrent.ConcurrentLinkedQueue[(Long, Int, Any)]()
+      val received = new java.util.concurrent.ConcurrentLinkedQueue[(Long, Int, Any)]()
+      val wd       = WindowDef(100, 50)
+      val op       = AggregateOperations.counting
+      val keyFn    = (v: Any) => v.asInstanceOf[Long] % 101
+      val pacer    = new Pacer(40000)
+      val store    = new ResultStore
+      val dag      = new Dag
+      dag.newVertex("src", () => new GeneratorSourceP(seq => seq, seq => seq / 20, 120000L, Some(pacer), 10), 1)
+      dag.newVertex("acc", () => new AccumulateByFrameP(keyFn, op, wd.slideMs))
+      dag.newVertex("comb", () => new KeySpyP(new CombineFramesP(op, wd), restored, received))
+      dag.newVertex("sink", () => new TransactionalSinkP(store), 1)
+      dag.edge(EdgeDef("src", 0, "acc", 0, RoutingPolicy.Partitioned(keyFn), distributed = false))
+      dag.edge(EdgeDef("acc", 0, "comb", 0,
+        RoutingPolicy.Partitioned(v => v.asInstanceOf[FrameAggregate[Any, Any]].key), distributed = true))
+      dag.edge(EdgeDef("comb", 0, "sink", 0, RoutingPolicy.RoundRobin, distributed = false))
+      val job = inst.submit(dag, JobConfig("eo-owner", Guarantee.ExactlyOnce, snapshotIntervalMs = 200))
+      awaitSnapshots(job, 2)
+      val job2 = inst.failNodeAndRecover(job, inst.nodes.head.id)
+      job2.awaitCompletion(180000)
+
+      import scala.jdk.CollectionConverters._
+      def of(q: java.util.Queue[(Long, Int, Any)]) =
+        q.asScala.toVector.collect { case (j, i, k) if j == job2.jobId => (k, i) }
+      val restoredAt = of(restored).groupMap(_._1)(_._2)
+      val routedTo   = of(received).groupMap(_._1)(_._2).view.mapValues(_.toSet).toMap
+      assert(restoredAt.nonEmpty, "no key state was restored")
+      restoredAt.foreach { case (k, is) =>
+        assert(is.size == 1, s"key $k restored on instances $is")
+        assert(routedTo.get(k).forall(_ == is.toSet), s"key $k restored on ${is.head}, routed to ${routedTo(k)}")
+      }
+      assert(restoredAt.keySet.exists(routedTo.contains), "no restored key received items after the restore")
+    } finally inst.shutdown()
+  }
+
+  test("restoring a source from a snapshot of another parallelism fails, naming both") {
+    val src = new GeneratorSourceP(seq => seq, seq => seq, 100, None, 10)
+    src.init(ProcessorContext(1, "src-v", 0, 2, 0))
+    val state = src.saveSnapshot().toVector
+    val src2  = new GeneratorSourceP(seq => seq, seq => seq, 100, None, 10)
+    src2.init(ProcessorContext(2, "src-v", 0, 3, 0))
+    val e = intercept[IllegalStateException](src2.restoreSnapshot(state.iterator))
+    assert(e.getMessage.contains("src-v") && e.getMessage.contains("parallelism 2") &&
+      e.getMessage.contains("parallelism 3"), e.getMessage)
+  }
+
+  test("restore fails on a keyed entry whose vertex has no owning instance") {
+    val grid = new GridCluster(1)
+    val ctl  = new SnapshotController("orphan", grid, 1000)
+    grid.getMap[SnapshotKey, Array[Byte]](ctl.snapshotMapName(1))
+      .put(SnapshotKey("gone", 0, 42L), ExecutionPlan.serialize(7L))
+    val dag = new Dag
+    dag.newVertex("src", () => new BatchSourceP(Vector(1)), 1)
+    val node = new JetNode(0, 1)
+    try {
+      val e = intercept[IllegalStateException](
+        ExecutionPlan.build(dag, Vector(node), 1, JobConfig("orphan", Guarantee.ExactlyOnce), grid, ctl, 1))
+      assert(e.getMessage.contains("gone") && e.getMessage.contains("no owning instance"), e.getMessage)
+    } finally node.shutdown()
+  }
+
+  test("a finished source's final state goes into the snapshot in flight and every later one") {
+    val ctl     = new SnapshotController("finished-src", new GridCluster(1), 5)
+    val written = new java.util.concurrent.ConcurrentLinkedQueue[Long]()
+    ctl.register("other")
+    // Snapshot 1 is in flight and the source wrote none yet.
+    ctl.requestedId = 1
+    ctl.sourceFinished("src", 0, id => { written.add(id); () })
+    assert(written.toArray.toSeq == Seq(1L))
+    // A source that wrote the snapshot in flight itself keeps its entry there.
+    val written2 = new java.util.concurrent.ConcurrentLinkedQueue[Long]()
+    ctl.sourceFinished("src2", 1, id => { written2.add(id); () })
+    assert(written2.isEmpty)
+    ctl.start()
+    try {
+      val deadline = System.currentTimeMillis() + 30000
+      while (written.size < 4 && System.currentTimeMillis() < deadline) {
+        ctl.ack("other", ctl.requestedId)
+        Thread.sleep(1)
+      }
+    } finally ctl.stop()
+    assert(written.toArray.toSeq.take(4) == Seq(1L, 2L, 3L, 4L))
+    assert(written2.toArray.toSeq.take(3) == Seq(2L, 3L, 4L))
+  }
 }

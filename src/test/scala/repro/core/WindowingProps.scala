@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
-import repro.imdg.Partitioning
+import repro.imdg.{MigrationPlanner, Partitioning}
 
 /** ScalaCheck property suites for the windowing math and partitioning. */
 object WindowingProps extends Properties("Windowing") {
@@ -46,12 +46,18 @@ object WindowingProps extends Properties("Windowing") {
     p >= 0 && p < Partitioning.DefaultPartitionCount
   }
 
-  property("consumerIndex is stable and bounded") = Prop.forAll(Gen.chooseNum(1, 64)) { n =>
-    Prop.forAll { (k: String) =>
-      val i = Partitioning.consumerIndex(k, n)
-      i >= 0 && i < n && i == Partitioning.consumerIndex(k, n)
+  /** The consumer index of a partitioned edge: the instance, out of `l` on
+    * each of `members` members, that owns the key's partition.
+    */
+  property("consumerIndex is stable and bounded") =
+    Prop.forAll(Gen.chooseNum(1, 4), Gen.chooseNum(1, 16)) { (members, l) =>
+      val ownership = PartitionOwnership(
+        MigrationPlanner.initial(0 until members, Partitioning.DefaultPartitionCount, 2), Array.range(0, members))
+      Prop.forAll { (k: String) =>
+        val i = ownership.instanceOf(Partitioning.partitionId(k), l)
+        i >= 0 && i < members * l && i == ownership.instanceOf(Partitioning.partitionId(k), l)
+      }
     }
-  }
 
   property("counting aggregate: combine then deduct is identity") =
     Prop.forAll(Gen.chooseNum(0, 100), Gen.chooseNum(0, 100)) { (a, b) =>

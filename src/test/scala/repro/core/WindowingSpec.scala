@@ -205,7 +205,7 @@ class WindowingSpec extends AnyFunSuite {
   ): Map[(Any, Long), R] = {
     val wms         = (0L to 1100L by wd.slideMs).toVector
     val (out, pair) = runPair(items, wd, aggrOp, wms, restartAt = items.size / 2)
-    assert(pair.comb.saveSnapshot().map(_._1).toVector == Vector("meta"))
+    assert(pair.comb.saveSnapshot().map(_._1).toVector == Vector(BroadcastKey("meta")))
     assert(pair.acc.saveSnapshot().isEmpty)
     val got = out.map(r => (r.key, r.windowEnd) -> r.result)
     assert(got.map(_._1).distinct.size == got.size)
@@ -317,5 +317,69 @@ class WindowingSpec extends AnyFunSuite {
     x = outQ.poll()
     while (x != null) { got :+= x.asInstanceOf[DataItem].value; x = outQ.poll() }
     assert(got == Vector((200L, 1)))
+  }
+
+  /** Combine instances as a snapshot finds them, restored into one fresh
+    * instance that receives every instance's entries (the broadcast metas
+    * included, in the given order); returns the restored instance's output
+    * from `complete()` and a reference instance's output after the same
+    * watermark, both as (key, window end, count).
+    */
+  private def restoreAll(
+      wd: WindowDef,
+      instances: Seq[(Seq[(Any, Long)], Long)]
+  ): (Vector[(Any, Long, Long)], Vector[(Any, Long, Long)]) = {
+    val op = AggregateOperations.counting
+    val q  = new SpscQueue(1 << 16)
+    val out = outboxInto(q)
+    def drain(): Vector[(Any, Long, Long)] =
+      Iterator.continually(q.poll()).takeWhile(_ != null).collect {
+        case DataItem(r: KeyedWindowResult[_, _], _) => (r.key: Any, r.windowEnd, r.result.asInstanceOf[Long])
+      }.toVector
+    def fed(partials: Seq[(Any, Long)], wm: Long): CombineFramesP[LongAcc, Long] = {
+      val c     = new CombineFramesP(op, wd)
+      val inbox = new Inbox
+      partials.foreach { case (k, fe) =>
+        val acc = op.create(); op.accumulate(acc, ())
+        inbox.add(DataItem(FrameAggregate(k, fe, acc), fe))
+      }
+      c.process(0, inbox, out)
+      if (wm != Long.MinValue) assert(c.tryProcessWatermark(Watermark(wm), out))
+      c
+    }
+    val saved = instances.flatMap { case (ps, wm) => fed(ps, wm).saveSnapshot().toVector }.toVector
+    drain()
+    val restored = new CombineFramesP(op, wd)
+    restored.restoreSnapshot(roundTrip(saved).iterator)
+    assert(restored.complete(out))
+    val got = drain()
+    val expected = instances.flatMap { case (ps, wm) =>
+      val c = fed(ps, wm)
+      drain()
+      assert(c.complete(out))
+      drain()
+    }.toVector
+    (got, expected)
+  }
+
+  test("restoring every instance's meta: an unset meta from an instance without frames loses no window") {
+    val wd = WindowDef(40, 10)
+    val (got, expected) = restoreAll(wd, Seq(
+      (Seq(("a", 10L), ("a", 20L), ("b", 30L)), 20L),
+      (Seq.empty, Long.MinValue) // saw no frames: its meta is unset, and restored last
+    ))
+    assert(expected.nonEmpty)
+    assert(got.sortBy(_.toString) == expected.sortBy(_.toString))
+  }
+
+  test("restoring every instance's meta: an instance that closed all its windows early re-closes none") {
+    val wd = WindowDef(40, 10)
+    val (got, expected) = restoreAll(wd, Seq(
+      (Seq(("a", 10L), ("a", 20L), ("b", 30L), ("a", 50L), ("a", 70L)), 60L),
+      (Seq(("c", 10L)), 60L) // its last window ended at 40, so its next window is behind the other's
+    ))
+    assert(expected.nonEmpty)
+    assert(got.map(r => (r._1, r._2)).distinct.size == got.size, "a window was emitted twice")
+    assert(got.sortBy(_.toString) == expected.sortBy(_.toString))
   }
 }

@@ -2,9 +2,16 @@ package repro.imdg
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.core.PartitionOwnership
 
 class PartitioningSpec extends AnyFunSuite {
   private val rnd = new Random(1)
+
+  /** The consumer a partitioned edge routes `key` to, out of `consumerCount`
+    * instances on one member, as the ownership map decides it.
+    */
+  private def consumerIndex(key: Any, consumerCount: Int): Int =
+    PartitionOwnership.singleMember.instanceOf(Partitioning.partitionId(key), consumerCount)
 
   test("partitionId is within [0, partitionCount)") {
     (0 until 10000).foreach { _ =>
@@ -22,7 +29,7 @@ class PartitioningSpec extends AnyFunSuite {
 
   test("consumerIndex is within [0, consumerCount)") {
     (0 until 10000).foreach { _ =>
-      val i = Partitioning.consumerIndex(rnd.nextLong(), 7)
+      val i = consumerIndex(rnd.nextLong(), 7)
       assert(i >= 0 && i < 7)
     }
   }
@@ -42,13 +49,13 @@ class PartitioningSpec extends AnyFunSuite {
   }
 
   test("consumerIndex of a single consumer is always 0") {
-    (0 until 1000).foreach(_ => assert(Partitioning.consumerIndex(rnd.nextInt(), 1) == 0))
+    (0 until 1000).foreach(_ => assert(consumerIndex(rnd.nextInt(), 1) == 0))
   }
 
   test("consumerIndex is consistent with partitionId") {
     (0 until 1000).foreach { _ =>
       val k = rnd.nextLong()
-      assert(Partitioning.consumerIndex(k, 5) == math.floorMod(Partitioning.partitionId(k), 5))
+      assert(consumerIndex(k, 5) == math.floorMod(Partitioning.partitionId(k), 5))
     }
   }
 }
